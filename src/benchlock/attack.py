@@ -15,10 +15,11 @@ from __future__ import annotations
 import random
 import time
 from dataclasses import dataclass, field
+from typing import Iterable
 
 from .cnf import CnfFormula, encode_into
 from .errors import AttackError, InterfaceError, SolverTimeout, StatError
-from .locking import Key, LockedNetlist, apply_key, detect_key_inputs, KEY_PREFIX
+from .locking import KEY_PREFIX, Key, LockedNetlist, apply_key, resolve_key_inputs
 from .netlist import Netlist
 from .solver import SolverStats, solve
 
@@ -49,12 +50,29 @@ class MiterContext:
     key_inputs: list[str]
 
 
-def _unlocked_netlist(
-    locked: LockedNetlist | Netlist, key_prefix: str = KEY_PREFIX
-) -> tuple[Netlist, list[str]]:
-    if isinstance(locked, LockedNetlist):
-        return locked.netlist, list(locked.key_inputs)
-    return locked, detect_key_inputs(locked, key_prefix)
+def _miter(
+    a: Netlist, b: Netlist, shared_pis: Iterable[str], outputs: Iterable[str]
+) -> tuple[CnfFormula, dict[str, int], dict[str, int], list[int]]:
+    """Copies of ``a`` and ``b`` in one formula, the second reading the
+    first's variables for ``shared_pis``, plus one variable per output
+    that is true exactly when the two copies disagree on it.
+
+    Returns (formula, net map of a, net map of b, difference variables
+    in ``outputs`` order).
+    """
+    cnf = CnfFormula()
+    map_a = encode_into(cnf, a)
+    map_b = encode_into(cnf, b, {pi: map_a[pi] for pi in shared_pis})
+    diff_vars = []
+    for po in outputs:
+        d = cnf.new_var()
+        va, vb = map_a[po], map_b[po]
+        cnf.add(-d, va, vb)
+        cnf.add(-d, -va, -vb)
+        cnf.add(d, -va, vb)
+        cnf.add(d, va, -vb)
+        diff_vars.append(d)
+    return cnf, map_a, map_b, diff_vars
 
 
 def build_miter(
@@ -64,26 +82,15 @@ def build_miter(
 ) -> MiterContext:
     """Two Tseitin copies sharing PIs, independent keys, and an activatable
     difference constraint (at least one output pair differs)."""
-    netlist, key_inputs = _unlocked_netlist(locked, key_prefix)
+    netlist, key_inputs = resolve_key_inputs(locked, key_prefix=key_prefix)
     if not key_inputs and not allow_keyless:
         raise AttackError("netlist has no key inputs; nothing to attack")
     keyset = set(key_inputs)
     real_pis = [pi for pi in netlist.primary_inputs if pi not in keyset]
 
-    cnf = CnfFormula()
-    map_a = encode_into(cnf, netlist)
-    shared = {pi: map_a[pi] for pi in real_pis}
-    map_b = encode_into(cnf, netlist, shared)
-
-    diff_vars = []
-    for po in netlist.primary_outputs:
-        d = cnf.new_var()
-        a, b = map_a[po], map_b[po]
-        cnf.add(-d, a, b)
-        cnf.add(-d, -a, -b)
-        cnf.add(d, -a, b)
-        cnf.add(d, a, -b)
-        diff_vars.append(d)
+    cnf, map_a, map_b, diff_vars = _miter(
+        netlist, netlist, real_pis, netlist.primary_outputs
+    )
     activator = cnf.new_var()
     cnf.add_clause([-activator] + diff_vars)
 
@@ -137,7 +144,7 @@ def sat_attack(
     returns an aborted result carrying the DIP trace so far.
     """
     t0 = time.monotonic()
-    netlist, _ = _unlocked_netlist(locked, key_prefix)
+    netlist, _ = resolve_key_inputs(locked, key_prefix=key_prefix)
     miter = build_miter(locked, key_prefix)
     if iteration_cap is None:
         iteration_cap = 1 << min(len(miter.key_inputs), 20)
@@ -243,18 +250,7 @@ def equivalence_check(
             "primary outputs differ", missing=b_pos - a_pos, extra=a_pos - b_pos
         )
 
-    cnf = CnfFormula()
-    map_a = encode_into(cnf, a)
-    map_b = encode_into(cnf, b, {pi: map_a[pi] for pi in a.primary_inputs})
-    diff = []
-    for po in sorted(a_pos):
-        d = cnf.new_var()
-        va, vb = map_a[po], map_b[po]
-        cnf.add(-d, va, vb)
-        cnf.add(-d, -va, -vb)
-        cnf.add(d, -va, vb)
-        cnf.add(d, va, -vb)
-        diff.append(d)
+    cnf, map_a, _, diff = _miter(a, b, a.primary_inputs, sorted(a_pos))
     cnf.add_clause(diff)
 
     outcome = solve(cnf, timeout_ms=timeout_ms)
@@ -302,7 +298,7 @@ def corruption_stats(
     fixed seed. ``wrong_key_override`` substitutes an explicit key list
     (test/debug hook).
     """
-    netlist, key_inputs = _unlocked_netlist(locked)
+    netlist, key_inputs = resolve_key_inputs(locked, key_prefix=key_prefix)
     width = len(key_inputs)
     if width == 0:
         raise StatError("no key inputs: wrong keys do not exist")

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from typing import Callable
 
 from .errors import BenchParseError, DialectError, StructuralError, UnsupportedGate
 from .netlist import Gate, GateKind, Netlist
@@ -99,6 +100,19 @@ def parse_bench(text: str, name: str = "bench") -> Netlist:
     return parse_bench_document(text, name).netlist
 
 
+def mux_as_and_or(gate: Gate, fresh: Callable[[], str]) -> tuple[Gate, ...]:
+    """MUX(s, a, b) as NOT/AND/AND/OR gates driving the same output;
+    three ``fresh()`` calls name the internal nets, in gate order."""
+    s, a, b = gate.inputs
+    t_not, t_a, t_b = fresh(), fresh(), fresh()
+    return (
+        Gate(t_not, GateKind.NOT, (s,)),
+        Gate(t_a, GateKind.AND, (t_not, a)),
+        Gate(t_b, GateKind.AND, (s, b)),
+        Gate(gate.output, GateKind.OR, (t_a, t_b)),
+    )
+
+
 def lower_mux_gates(netlist: Netlist) -> Netlist:
     """Replace every MUX with its NOT/AND/AND/OR form.
 
@@ -119,17 +133,10 @@ def lower_mux_gates(netlist: Netlist) -> Netlist:
 
     gates: list[Gate] = []
     for gate in netlist.gates:
-        if gate.kind is not GateKind.MUX:
+        if gate.kind is GateKind.MUX:
+            gates.extend(mux_as_and_or(gate, lambda: fresh(gate.output)))
+        else:
             gates.append(gate)
-            continue
-        s, a, b = gate.inputs
-        t_not = fresh(gate.output)
-        t_a = fresh(gate.output)
-        t_b = fresh(gate.output)
-        gates.append(Gate(t_not, GateKind.NOT, (s,)))
-        gates.append(Gate(t_a, GateKind.AND, (t_not, a)))
-        gates.append(Gate(t_b, GateKind.AND, (s, b)))
-        gates.append(Gate(gate.output, GateKind.OR, (t_a, t_b)))
     return Netlist(
         netlist.name, netlist.primary_inputs, netlist.primary_outputs, gates
     )

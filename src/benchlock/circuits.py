@@ -50,18 +50,6 @@ def not_chain(length: int) -> Netlist:
     return Netlist(f"not_chain{length}", ["a"], [prev], gates)
 
 
-def xor_chain(n_inputs: int) -> Netlist:
-    """Parity of n inputs built as a left-leaning chain of XOR2 gates."""
-    gates = []
-    prev = "x0"
-    for i in range(1, n_inputs):
-        out = f"p{i}"
-        gates.append(Gate(out, _K.XOR, (prev, f"x{i}")))
-        prev = out
-    pis = [f"x{i}" for i in range(n_inputs)]
-    return Netlist(f"xor_chain{n_inputs}", pis, [prev], gates)
-
-
 def parallel_cones(n_cones: int = 8) -> Netlist:
     """n independent 1-input cones (NOT then NOT), one output each.
 

@@ -9,12 +9,12 @@ are pluggable so the whole module tests offline against scripted mocks.
 from __future__ import annotations
 
 import importlib.resources
+import http.client
 import json
 import time
+import urllib.request
 from dataclasses import dataclass
 from typing import Callable, Protocol, Sequence
-
-import requests
 
 from .attack import equivalence_check
 from .bench import emit_bench, parse_bench
@@ -25,7 +25,14 @@ from .errors import (
     TruncationError,
     ValidationFailed,
 )
-from .locking import Key, LockConfig, LockedNetlist, LockRecord, lock
+from .locking import (
+    Key,
+    LockConfig,
+    LockedNetlist,
+    LockRecord,
+    lock,
+    resolve_key_inputs,
+)
 from .netlist import Netlist
 from .verilog import parse_verilog_subset
 from .verify import functional_verify, structural_check
@@ -51,9 +58,6 @@ STRATEGY_HINTS = {
 class ChatMessage:
     role: str  # system | user | assistant
     content: str
-
-
-Transcript = tuple  # of ChatMessage
 
 
 @dataclass(frozen=True)
@@ -113,20 +117,22 @@ class HttpTransport:
             "messages": [{"role": m.role, "content": m.content} for m in transcript],
         }
         payload.update(params or {})
+        request = urllib.request.Request(
+            self.endpoint, data=json.dumps(payload).encode(), headers=headers
+        )
         try:
-            resp = requests.post(
-                self.endpoint, json=payload, headers=headers, timeout=self.timeout_s
-            )
-            resp.raise_for_status()
-            body = resp.json()
-            choice = body["choices"][0]
+            # HTTPError (status >= 400), URLError and timeouts are OSErrors
+            with urllib.request.urlopen(request, timeout=self.timeout_s) as resp:
+                raw = resp.read()
+        except (OSError, http.client.HTTPException) as exc:
+            raise TransportError(f"chat endpoint failed: {exc}") from exc
+        try:
+            choice = json.loads(raw)["choices"][0]
             return ChatResponse(
                 content=choice["message"]["content"],
                 finish_reason=choice.get("finish_reason"),
             )
-        except requests.RequestException as exc:
-            raise TransportError(f"chat endpoint failed: {exc}") from exc
-        except (KeyError, IndexError, ValueError, json.JSONDecodeError) as exc:
+        except (KeyError, IndexError, ValueError) as exc:
             raise TransportError(f"malformed chat response: {exc}") from exc
 
 
@@ -415,9 +421,7 @@ def llm_obfuscate(
     def validator(text: str) -> LockedNetlist:
         clean = _strip_fences(text)
         candidate = parse_bench(clean, name=netlist.name)
-        key_inputs = [
-            pi for pi in candidate.primary_inputs if pi.startswith(cfg.key_prefix)
-        ]
+        _, key_inputs = resolve_key_inputs(candidate, key_prefix=cfg.key_prefix)
         diags = structural_check(candidate, netlist, key_inputs, cfg.key_prefix)
         if len(key_inputs) != k:
             diags.append(f"expected {k} key inputs, found {len(key_inputs)}")

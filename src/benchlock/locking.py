@@ -244,7 +244,7 @@ class _Workbench:
         self.gates = list(netlist.gates)
         self.original_pis = tuple(netlist.primary_inputs)
         self.prefix = prefix
-        self.taken = set(netlist.nets)
+        self.taken = set(netlist.nets)  # the nets of snapshot(), kept in step
 
     def snapshot(self) -> Netlist:
         return Netlist(self.name, self.pis, self.pos, self.gates)
@@ -382,7 +382,7 @@ def _insert(
     bits: list[int] = []
 
     for index, target, bit, style in plan:
-        if not bench.snapshot().has_net(target):
+        if target not in bench.taken:
             raise LockError(f"cannot lock unknown net {target!r}")
         if style == "mux":
             dummy, policy_desc = _dummy_net(
@@ -579,14 +579,7 @@ def apply_key(
     locked files may do). A net forced constant is re-expressed inside the
     gate alphabet as XOR(x,x) / XNOR(x,x) over the first primary input.
     """
-    if isinstance(locked, LockedNetlist):
-        netlist = locked.netlist
-        names = list(locked.key_inputs)
-    else:
-        netlist = locked
-        names = key_inputs if key_inputs is not None else detect_key_inputs(
-            netlist, key_prefix
-        )
+    netlist, names = resolve_key_inputs(locked, key_inputs, key_prefix)
     bits = tuple(key)
     if len(bits) != len(names):
         raise LockError(
@@ -637,6 +630,23 @@ def detect_key_inputs(netlist: Netlist, prefix: str = KEY_PREFIX) -> list[str]:
     if found and all(s.isdigit() for s in suffixes):
         return [pi for _, pi in sorted(zip((int(s) for s in suffixes), found))]
     return found
+
+
+def resolve_key_inputs(
+    locked: LockedNetlist | Netlist,
+    key_inputs: list[str] | None = None,
+    key_prefix: str = KEY_PREFIX,
+) -> tuple[Netlist, list[str]]:
+    """The netlist to work on and its key inputs, bit i's input at index i.
+
+    A LockedNetlist carries its own key inputs. For a plain Netlist,
+    explicit ``key_inputs`` win; otherwise ``detect_key_inputs`` applies.
+    """
+    if isinstance(locked, LockedNetlist):
+        return locked.netlist, list(locked.key_inputs)
+    if key_inputs is None:
+        return locked, detect_key_inputs(locked, key_prefix)
+    return locked, list(key_inputs)
 
 
 # -- key files ------------------------------------------------------------------

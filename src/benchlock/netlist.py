@@ -375,19 +375,6 @@ class Netlist:
         )
 
 
-def validate(netlist: Netlist) -> list[str]:
-    """Module-level alias for Netlist.validate()."""
-    return netlist.validate()
-
-
-def check_valid(netlist: Netlist) -> Netlist:
-    """Raise StructuralError if the netlist breaks any invariant."""
-    diags = netlist.validate()
-    if diags:
-        raise StructuralError(diags)
-    return netlist
-
-
 EXHAUSTIVE_PI_LIMIT = 28
 
 

@@ -28,6 +28,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .bench import mux_as_and_or
 from .errors import StructuralError
 from .netlist import Gate, GateKind, Netlist
 
@@ -81,12 +82,7 @@ def _lowered_gates(netlist: Netlist) -> list[Gate]:
         if kind in (GateKind.XOR, GateKind.XNOR) and len(gate.inputs) > 2:
             xor_tree(gate.inputs, gate.output, kind)
         elif kind is GateKind.MUX:
-            s, a, b = gate.inputs
-            ns, ta, tb = aux(), aux(), aux()
-            out.append(Gate(ns, GateKind.NOT, (s,)))
-            out.append(Gate(ta, GateKind.AND, (ns, a)))
-            out.append(Gate(tb, GateKind.AND, (s, b)))
-            out.append(Gate(gate.output, GateKind.OR, (ta, tb)))
+            out.extend(mux_as_and_or(gate, aux))
         else:
             out.append(gate)
     return out

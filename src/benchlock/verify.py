@@ -12,17 +12,10 @@ from dataclasses import dataclass
 
 from .attack import equivalence_check
 from .errors import LockError
-from .locking import (
-    KEY_PREFIX,
-    Key,
-    LockedNetlist,
-    apply_key,
-    detect_key_inputs,
-)
-from .netlist import Netlist, truth_tables, vector_assignment
+from .locking import KEY_PREFIX, Key, LockedNetlist, apply_key, resolve_key_inputs
+from .netlist import EXHAUSTIVE_PI_LIMIT, Netlist, truth_tables, vector_assignment
 
 AUTO_EXHAUSTIVE_LIMIT = 16  # <= 65,536 vectors stays exhaustive in auto mode
-EXHAUSTIVE_HARD_LIMIT = 28
 
 
 @dataclass(frozen=True)
@@ -45,14 +38,6 @@ class Verdict:
         }
 
 
-def _resolve(locked, key_inputs, key_prefix):
-    if isinstance(locked, LockedNetlist):
-        return locked.netlist, list(locked.key_inputs)
-    if key_inputs is None:
-        key_inputs = detect_key_inputs(locked, key_prefix)
-    return locked, list(key_inputs)
-
-
 def structural_check(
     locked: LockedNetlist | Netlist,
     original: Netlist,
@@ -60,7 +45,7 @@ def structural_check(
     key_prefix: str = KEY_PREFIX,
 ) -> list[str]:
     """Interface diagnostics; empty list means the shape is right."""
-    netlist, keys = _resolve(locked, key_inputs, key_prefix)
+    netlist, keys = resolve_key_inputs(locked, key_inputs, key_prefix)
     diags: list[str] = []
 
     expected = len(original.primary_inputs) + len(keys)
@@ -98,11 +83,11 @@ def functional_verify(
 
     auto picks exhaustive enumeration up to AUTO_EXHAUSTIVE_LIMIT primary
     inputs and a SAT miter beyond; exhaustive can be forced up to
-    EXHAUSTIVE_HARD_LIMIT inputs.
+    EXHAUSTIVE_PI_LIMIT inputs.
     """
     if mode not in ("auto", "exhaustive", "sat"):
         raise ValueError(f"unknown verify mode: {mode!r}")
-    netlist, keys = _resolve(locked, key_inputs, key_prefix)
+    netlist, keys = resolve_key_inputs(locked, key_inputs, key_prefix)
     bits = tuple(key)
     if len(bits) != len(keys):
         raise LockError(
@@ -122,10 +107,10 @@ def functional_verify(
     n = len(original.primary_inputs)
     if mode == "auto":
         mode = "exhaustive" if n <= AUTO_EXHAUSTIVE_LIMIT else "sat"
-    if mode == "exhaustive" and n > EXHAUSTIVE_HARD_LIMIT:
+    if mode == "exhaustive" and n > EXHAUSTIVE_PI_LIMIT:
         raise ValueError(
             f"exhaustive mode refused for {n} inputs "
-            f"(limit {EXHAUSTIVE_HARD_LIMIT}); use mode='sat'"
+            f"(limit {EXHAUSTIVE_PI_LIMIT}); use mode='sat'"
         )
 
     applied = apply_key(netlist, bits, key_inputs=keys)

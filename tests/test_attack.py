@@ -232,6 +232,16 @@ def test_corruption_c17_seeded_golden():
     assert stats == again
 
 
+def test_corruption_honours_key_prefix_on_plain_netlist():
+    # `benchlock corrupt --key-prefix` hands over a parsed, plain netlist
+    c = c17()
+    locked, key = lock(c, LockConfig(key_size=4, seed=42, key_prefix="kx"))
+    plain = corruption_stats(locked.netlist, Oracle(c), key, wrong_keys=20,
+                             inputs=20, seed=0, key_prefix="kx")
+    assert plain == corruption_stats(locked, Oracle(c), key, wrong_keys=20,
+                                     inputs=20, seed=0)
+
+
 def test_corruption_requires_keys_and_samples():
     c = c17()
     locked, key = lock(c, LockConfig(key_size=4, seed=42))

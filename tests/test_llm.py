@@ -16,7 +16,15 @@ from benchlock.llm import (
     run_with_continuation,
     stitch,
 )
-from benchlock.locking import LockConfig, lock
+from benchlock.locking import (
+    LockConfig,
+    emit_key_file,
+    insert_xor_keygates,
+    lock,
+    parse_key_file,
+    select_nets,
+)
+from benchlock.verify import functional_verify
 from benchlock.verilog import parse_verilog_subset
 
 NAND_VERILOG = """module m(a, b, y);
@@ -237,3 +245,23 @@ def test_obfuscate_strips_markdown_fences():
     fenced = "```\n# key=" + key.to_string() + "\n" + emit_bench(locked.netlist) + "```\n"
     got, _ = llm_obfuscate(MockTransport([fenced]), c, cfg)
     assert got.correct_key == key
+
+
+def test_obfuscate_reads_key_inputs_in_numeric_order():
+    # The answer lists keyinput3 .. keyinput0 but declares its key
+    # keyinput0 first, as the prompt asks; the emitted files must verify.
+    c = c17()
+    cfg = LockConfig(key_size=4, keygate_policy="xor_only", seed=5)
+    locked = insert_xor_keygates(c, select_nets(c, "random", 4, seed=3), (0, 1, 1, 1))
+    lines = emit_bench(locked.netlist).splitlines()
+    key_lines = [ln for ln in lines if ln.startswith("INPUT(keyinput")]
+    rest = [ln for ln in lines if ln not in key_lines]
+    at = rest.index(next(ln for ln in rest if ln.startswith("OUTPUT(")))
+    answer = "\n".join(["# key=0111"] + rest[:at] + key_lines[::-1] + rest[at:])
+
+    got, record = llm_obfuscate(MockTransport([answer]), c, cfg)
+    assert record.final_source == "llm"
+    emitted = parse_bench(emit_bench(got.netlist), name=c.name)
+    key = parse_key_file(emit_key_file(got.correct_key))
+    assert key.to_string() == "0111"
+    assert functional_verify(emitted, c, key).functional == "equivalent"

@@ -1,6 +1,7 @@
 """HttpTransport and the llm-lock CLI against a local canned endpoint."""
 
 import json
+import socket
 import threading
 from http.server import BaseHTTPRequestHandler, HTTPServer
 
@@ -18,6 +19,7 @@ class _CannedHandler(BaseHTTPRequestHandler):
     responses: list = []
     requests: list = []
     status_code = 200
+    raw_body: bytes | None = None  # sent as is in place of a chat reply
 
     def do_POST(self):
         length = int(self.headers["Content-Length"])
@@ -29,14 +31,16 @@ class _CannedHandler(BaseHTTPRequestHandler):
             self.send_response(type(self).status_code)
             self.end_headers()
             return
-        content = type(self).responses.pop(0)
-        reply = {
-            "choices": [
-                {"message": {"role": "assistant", "content": content},
-                 "finish_reason": "stop"}
-            ]
-        }
-        payload = json.dumps(reply).encode()
+        payload = type(self).raw_body
+        if payload is None:
+            content = type(self).responses.pop(0)
+            reply = {
+                "choices": [
+                    {"message": {"role": "assistant", "content": content},
+                     "finish_reason": "stop"}
+                ]
+            }
+            payload = json.dumps(reply).encode()
         self.send_response(200)
         self.send_header("Content-Type", "application/json")
         self.send_header("Content-Length", str(len(payload)))
@@ -55,6 +59,7 @@ def endpoint():
     _CannedHandler.responses = []
     _CannedHandler.requests = []
     _CannedHandler.status_code = 200
+    _CannedHandler.raw_body = None
     yield f"http://127.0.0.1:{server.server_port}/v1/chat/completions"
     server.shutdown()
 
@@ -78,6 +83,23 @@ def test_http_transport_error_status(endpoint):
     _CannedHandler.status_code = 500
     transport = HttpTransport(endpoint)
     with pytest.raises(TransportError):
+        transport.send((ChatMessage("user", "x"),), "m", {})
+
+
+def test_http_transport_non_json_body(endpoint):
+    _CannedHandler.raw_body = b"<html>not json</html>"
+    transport = HttpTransport(endpoint)
+    with pytest.raises(TransportError, match="malformed chat response"):
+        transport.send((ChatMessage("user", "x"),), "m", {})
+
+
+def test_http_transport_connection_refused():
+    with socket.socket() as sock:
+        sock.bind(("127.0.0.1", 0))
+        port = sock.getsockname()[1]
+    transport = HttpTransport(f"http://127.0.0.1:{port}/v1/chat/completions",
+                              timeout_s=5.0)
+    with pytest.raises(TransportError, match="chat endpoint failed"):
         transport.send((ChatMessage("user", "x"),), "m", {})
 
 
