@@ -3,11 +3,14 @@ and output-corruption measurement.
 
 The attack builds a miter of two copies of the locked circuit sharing the
 primary inputs but holding independent key variable sets. While the miter
-is satisfiable, the model yields a distinguishing input pattern (DIP); the
-oracle's response is pinned into the formula as two fresh circuit copies,
-one per key set. When no DIP remains, any key satisfying the accumulated
-I/O constraints is functionally correct; one is extracted and verified
-against the oracle netlist before being returned.
+is satisfiable, the model yields a distinguishing input pattern (DIP). The
+oracle's response is pinned onto each key set by one copy of the circuit
+cofactored by the DIP: constants folded, so only gates that depend on the
+key are encoded. One incremental solver serves the whole run; the miter's
+activator variable is assumed true to search DIPs and false to extract a
+key. When no DIP remains, any key satisfying the accumulated I/O
+constraints is functionally correct; one is extracted and verified against
+the oracle netlist before being returned.
 """
 
 from __future__ import annotations
@@ -20,8 +23,8 @@ from typing import Iterable
 from .cnf import CnfFormula, encode_into
 from .errors import AttackError, InterfaceError, SolverTimeout, StatError
 from .locking import KEY_PREFIX, Key, LockedNetlist, apply_key, resolve_key_inputs
-from .netlist import Netlist
-from .solver import SolverStats, solve
+from .netlist import Netlist, cofactor
+from .solver import SatOutcome, Solver, SolverStats, solve
 
 DEFAULT_TIMEOUT_MS = 300_000
 
@@ -129,6 +132,36 @@ class AttackResult:
         }
 
 
+def _pin_dip(
+    cnf: CnfFormula,
+    netlist: Netlist,
+    dip: dict[str, int],
+    response: dict[str, int],
+    key_var_sets: Iterable[dict[str, int]],
+) -> None:
+    """Constrain every key set to map ``dip`` to ``response``.
+
+    Each key set gets one copy of ``netlist`` cofactored by the DIP.
+    Constant nets that the copy still reads become unit-fixed variables; a
+    constant output that contradicts the oracle becomes an empty clause.
+    """
+    gates, const = cofactor(netlist, dip)
+    read = {i for g in gates for i in g.inputs}
+    fixed = [net for net in const if net in read]
+    for key_vars in key_var_sets:
+        shared = dict(key_vars)
+        for net in fixed:
+            var = shared[net] = cnf.new_var()
+            cnf.add(var if const[net] else -var)
+        rest = Netlist(netlist.name, list(shared), [], gates)
+        copy = encode_into(cnf, rest, shared)
+        for po, bit in response.items():
+            if po not in const:
+                cnf.add(copy[po] if bit else -copy[po])
+            elif const[po] != bit:
+                cnf.add_clause([])
+
+
 def sat_attack(
     locked: LockedNetlist | Netlist,
     oracle: Oracle,
@@ -140,8 +173,10 @@ def sat_attack(
 
     On key_recovered the returned key is guaranteed functionally correct:
     apply_key(locked, key) is checked equivalent to the oracle netlist
-    before returning. Hitting the time budget or the iteration cap
-    returns an aborted result carrying the DIP trace so far.
+    before returning. The time budget is checked after the miter is
+    built, before each solver call and before each DIP is encoded, and
+    inside the solver. Hitting it or the iteration cap returns an aborted
+    result carrying the DIP trace so far.
     """
     t0 = time.monotonic()
     netlist, _ = resolve_key_inputs(locked, key_prefix=key_prefix)
@@ -152,11 +187,16 @@ def sat_attack(
     stats = SolverStats()
     dips: list[tuple[dict[str, int], dict[str, int]]] = []
     cnf = miter.cnf
+    solver = Solver()
 
     def remaining() -> float | None:
         if timeout_ms is None:
             return None
         return timeout_ms - (time.monotonic() - t0) * 1000.0
+
+    def out_of_time() -> bool:
+        budget = remaining()
+        return budget is not None and budget <= 0
 
     def result(status: str, key: Key | None) -> AttackResult:
         return AttackResult(
@@ -169,40 +209,31 @@ def sat_attack(
             oracle_queries=oracle.queries,
         )
 
-    while True:
-        budget = remaining()
-        if budget is not None and budget <= 0:
-            return result("aborted_timeout", None)
-        try:
-            outcome = solve(cnf, assumptions=[miter.activator], timeout_ms=budget)
-        except SolverTimeout:
-            return result("aborted_timeout", None)
+    def search(activator: int) -> SatOutcome:
+        if out_of_time():
+            raise SolverTimeout("attack exceeded its time budget")
+        outcome = solve(cnf, [activator], timeout_ms=remaining(), solver=solver)
         stats.merge(outcome.stats)
-        if outcome.status == "unsat":
-            break
-        if len(dips) >= iteration_cap:
-            return result("aborted_iteration_cap", None)
+        return outcome
 
-        model = outcome.model
-        dip = {pi: model[v] for pi, v in miter.pi_vars.items()}
-        response = oracle(dip)
-        dips.append((dip, response))
-        # pin this I/O pair onto both key sets via fresh circuit copies
-        for key_vars in (miter.key_vars_a, miter.key_vars_b):
-            copy = encode_into(cnf, netlist, shared=key_vars)
-            for pi, bit in dip.items():
-                cnf.add(copy[pi] if bit else -copy[pi])
-            for po, bit in response.items():
-                cnf.add(copy[po] if bit else -copy[po])
-
-    budget = remaining()
-    if budget is not None and budget <= 0:
-        return result("aborted_timeout", None)
     try:
-        final = solve(cnf, assumptions=[-miter.activator], timeout_ms=budget)
+        while True:
+            outcome = search(miter.activator)
+            if outcome.status == "unsat":
+                break
+            if len(dips) >= iteration_cap:
+                return result("aborted_iteration_cap", None)
+            model = outcome.model
+            dip = {pi: model[v] for pi, v in miter.pi_vars.items()}
+            response = oracle(dip)
+            dips.append((dip, response))
+            if out_of_time():
+                return result("aborted_timeout", None)
+            _pin_dip(cnf, netlist, dip, response,
+                     (miter.key_vars_a, miter.key_vars_b))
+        final = search(-miter.activator)
     except SolverTimeout:
         return result("aborted_timeout", None)
-    stats.merge(final.stats)
     if final.status != "sat":
         raise AttackError(
             "no key satisfies the accumulated I/O constraints; "

@@ -216,13 +216,12 @@ def parse_dimacs_model(text: str) -> tuple[str, dict[int, int]]:
 
 
 def model_satisfies(cnf: CnfFormula, model: Mapping[int, int]) -> bool:
-    """True iff the assignment satisfies every clause."""
-    for clause in cnf.clauses:
-        if not any(
-            (model.get(abs(lit), 0) == 1) == (lit > 0) for lit in clause
-        ):
-            return False
-    return True
+    """True iff the assignment (absent variables read as 0) satisfies every
+    clause."""
+    true_lits = {
+        v if model.get(v, 0) == 1 else -v for v in range(1, cnf.var_count + 1)
+    }
+    return not any(map(true_lits.isdisjoint, cnf.clauses))
 
 
 def brute_force_status(cnf: CnfFormula, max_vars: int = 24) -> str:

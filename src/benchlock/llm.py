@@ -128,12 +128,16 @@ class HttpTransport:
             raise TransportError(f"chat endpoint failed: {exc}") from exc
         try:
             choice = json.loads(raw)["choices"][0]
-            return ChatResponse(
-                content=choice["message"]["content"],
-                finish_reason=choice.get("finish_reason"),
-            )
-        except (KeyError, IndexError, ValueError) as exc:
+            content = choice["message"]["content"]
+            finish_reason = choice.get("finish_reason")
+        # TypeError: a list, string or null where an object is expected
+        except (KeyError, IndexError, TypeError, ValueError) as exc:
             raise TransportError(f"malformed chat response: {exc}") from exc
+        if not isinstance(content, str):
+            raise TransportError(
+                f"malformed chat response: content is {type(content).__name__}"
+            )
+        return ChatResponse(content=content, finish_reason=finish_reason)
 
 
 @dataclass(frozen=True)

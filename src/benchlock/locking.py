@@ -21,7 +21,7 @@ import random
 from dataclasses import dataclass, replace
 
 from .errors import DummyError, LockError, SelectionError
-from .netlist import Gate, GateKind, Netlist, fresh_name
+from .netlist import Gate, GateKind, Netlist, cofactor, fresh_name
 from .scoap import scoap
 
 PRNG_NAME = "mt19937"
@@ -502,82 +502,18 @@ def lock(netlist: Netlist, config: LockConfig) -> tuple[LockedNetlist, Key]:
 # -- key application -----------------------------------------------------------
 
 
-def _fold_constants(
-    kind: GateKind, ins: list[str], vals: list[int | None]
-) -> tuple[int | None, GateKind | None, list[str]]:
-    """Partial-evaluate one gate. Returns (constant, kind, inputs): either
-    a constant output, or a simplified gate."""
-    if kind in (GateKind.AND, GateKind.NAND):
-        flip = kind is GateKind.NAND
-        if 0 in vals:
-            return (1 if flip else 0), None, []
-        rest = [i for i, v in zip(ins, vals) if v is None]
-        if not rest:
-            return (0 if flip else 1), None, []
-        if len(rest) == 1:
-            return None, (GateKind.NOT if flip else GateKind.BUFF), rest
-        return None, kind, rest
-    if kind in (GateKind.OR, GateKind.NOR):
-        flip = kind is GateKind.NOR
-        if 1 in vals:
-            return (0 if flip else 1), None, []
-        rest = [i for i, v in zip(ins, vals) if v is None]
-        if not rest:
-            return (1 if flip else 0), None, []
-        if len(rest) == 1:
-            return None, (GateKind.NOT if flip else GateKind.BUFF), rest
-        return None, kind, rest
-    if kind in (GateKind.XOR, GateKind.XNOR):
-        parity = 1 if kind is GateKind.XNOR else 0
-        rest = []
-        for i, v in zip(ins, vals):
-            if v is None:
-                rest.append(i)
-            else:
-                parity ^= v
-        if not rest:
-            return parity, None, []
-        if len(rest) == 1:
-            return None, (GateKind.NOT if parity else GateKind.BUFF), rest
-        return None, (GateKind.XNOR if parity else GateKind.XOR), rest
-    if kind is GateKind.NOT:
-        if vals[0] is None:
-            return None, kind, ins
-        return 1 - vals[0], None, []
-    if kind is GateKind.BUFF:
-        if vals[0] is None:
-            return None, kind, ins
-        return vals[0], None, []
-    # MUX(select, in0, in1)
-    s, a, b = vals
-    if s is not None:
-        pick = ins[2] if s else ins[1]
-        v = vals[2] if s else vals[1]
-        if v is not None:
-            return v, None, []
-        return None, GateKind.BUFF, [pick]
-    if a is not None and b is not None:
-        if a == b:
-            return a, None, []
-        # MUX(s, 0, 1) = s ; MUX(s, 1, 0) = NOT s
-        return None, (GateKind.BUFF if b == 1 else GateKind.NOT), [ins[0]]
-    return None, kind, list(ins)
-
-
 def apply_key(
     locked: LockedNetlist | Netlist,
     key: Key | tuple[int, ...],
     key_inputs: list[str] | None = None,
     key_prefix: str = KEY_PREFIX,
 ) -> Netlist:
-    """Substitute key constants and simplify, restoring the original
-    PI/PO interface.
+    """Substitute key constants, simplify with ``cofactor`` and restore the
+    original PI/PO interface.
 
-    XOR(x,0) folds to BUFF(x), XOR(x,1) to NOT(x), XNOR dually; a MUX with
-    a constant select collapses to the selected input. General constant
-    propagation handles key bits that feed other gate kinds (as imported
-    locked files may do). A net forced constant is re-expressed inside the
-    gate alphabet as XOR(x,x) / XNOR(x,x) over the first primary input.
+    A constant net that a gate or a primary output still reads is
+    re-expressed inside the gate alphabet as XOR(x,x) / XNOR(x,x) over the
+    first primary input.
     """
     netlist, names = resolve_key_inputs(locked, key_inputs, key_prefix)
     bits = tuple(key)
@@ -586,30 +522,20 @@ def apply_key(
             f"key width {len(bits)} does not match {len(names)} key inputs"
         )
 
-    const: dict[str, int] = dict(zip(names, bits))
     keyset = set(names)
     pis = [p for p in netlist.primary_inputs if p not in keyset]
-    gates: list[Gate] = []
-    for gate in netlist.topo_order():
-        vals = [const.get(i) for i in gate.inputs]
-        value, kind, ins = _fold_constants(gate.kind, list(gate.inputs), vals)
-        if value is not None:
-            const[gate.output] = value
-        else:
-            gates.append(Gate(gate.output, kind, ins))
+    gates, const = cofactor(netlist, dict(zip(names, bits)))
 
     # materialize constant nets that something still reads
-    needed = [n for n in const if n not in keyset]
     still_read = {i for g in gates for i in g.inputs} | set(netlist.primary_outputs)
     anchor = pis[0] if pis else None
     header: list[Gate] = []
-    for net in needed:
+    for net, bit in const.items():
         if net not in still_read:
             continue
         if anchor is None:
             raise LockError("cannot materialize a constant without any primary input")
-        kind = GateKind.XNOR if const[net] else GateKind.XOR
-        header.append(Gate(net, kind, (anchor, anchor)))
+        header.append(Gate(net, GateKind.XNOR if bit else GateKind.XOR, (anchor, anchor)))
 
     result = Netlist(netlist.name, pis, netlist.primary_outputs, header + gates)
     diags = result.validate()

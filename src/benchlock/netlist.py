@@ -437,6 +437,96 @@ def vector_assignment(order: Iterable[str], j: int) -> dict[str, int]:
     return {pi: (j >> i) & 1 for i, pi in enumerate(order)}
 
 
+def _fold_constants(
+    kind: GateKind, ins: list[str], vals: list[int | None]
+) -> tuple[int | None, GateKind | None, list[str]]:
+    """Partial-evaluate one gate. Returns (constant, kind, inputs): either
+    a constant output, or a simplified gate."""
+    if kind in (GateKind.AND, GateKind.NAND):
+        flip = kind is GateKind.NAND
+        if 0 in vals:
+            return (1 if flip else 0), None, []
+        rest = [i for i, v in zip(ins, vals) if v is None]
+        if not rest:
+            return (0 if flip else 1), None, []
+        if len(rest) == 1:
+            return None, (GateKind.NOT if flip else GateKind.BUFF), rest
+        return None, kind, rest
+    if kind in (GateKind.OR, GateKind.NOR):
+        flip = kind is GateKind.NOR
+        if 1 in vals:
+            return (0 if flip else 1), None, []
+        rest = [i for i, v in zip(ins, vals) if v is None]
+        if not rest:
+            return (1 if flip else 0), None, []
+        if len(rest) == 1:
+            return None, (GateKind.NOT if flip else GateKind.BUFF), rest
+        return None, kind, rest
+    if kind in (GateKind.XOR, GateKind.XNOR):
+        parity = 1 if kind is GateKind.XNOR else 0
+        rest = []
+        for i, v in zip(ins, vals):
+            if v is None:
+                rest.append(i)
+            else:
+                parity ^= v
+        if not rest:
+            return parity, None, []
+        if len(rest) == 1:
+            return None, (GateKind.NOT if parity else GateKind.BUFF), rest
+        return None, (GateKind.XNOR if parity else GateKind.XOR), rest
+    if kind is GateKind.NOT:
+        if vals[0] is None:
+            return None, kind, ins
+        return 1 - vals[0], None, []
+    if kind is GateKind.BUFF:
+        if vals[0] is None:
+            return None, kind, ins
+        return vals[0], None, []
+    # MUX(select, in0, in1)
+    s, a, b = vals
+    if s is not None:
+        pick = ins[2] if s else ins[1]
+        v = vals[2] if s else vals[1]
+        if v is not None:
+            return v, None, []
+        return None, GateKind.BUFF, [pick]
+    if a is not None and b is not None:
+        if a == b:
+            return a, None, []
+        # MUX(s, 0, 1) = s ; MUX(s, 1, 0) = NOT s
+        return None, (GateKind.BUFF if b == 1 else GateKind.NOT), [ins[0]]
+    return None, kind, list(ins)
+
+
+def cofactor(
+    netlist: Netlist, assignment: Mapping[str, int]
+) -> tuple[list[Gate], dict[str, int]]:
+    """Partial evaluation with the nets in ``assignment`` held constant.
+
+    Returns (gates, const): the gates whose output still varies,
+    simplified and in topological order, and every net with a fixed value,
+    the assigned ones first. XOR(x,0) folds to BUFF(x), XOR(x,1) to
+    NOT(x), XNOR dually; a MUX with a constant select collapses to the
+    selected input; constants propagate through every gate kind. A gate
+    may still read a net in ``const`` (a MUX data input); callers
+    materialize such nets as they need.
+    """
+    const = dict(assignment)
+    gates: list[Gate] = []
+    for gate in netlist.topo_order():
+        if const.keys().isdisjoint(gate.inputs):
+            gates.append(gate)
+            continue
+        vals = [const.get(i) for i in gate.inputs]
+        value, kind, ins = _fold_constants(gate.kind, list(gate.inputs), vals)
+        if value is None:
+            gates.append(Gate(gate.output, kind, ins))
+        else:
+            const[gate.output] = value
+    return gates, const
+
+
 def fresh_name(base: str, taken: Iterable[str]) -> str:
     """First name of the form base / base_2 / base_3 ... not in ``taken``."""
     taken = set(taken)

@@ -2,11 +2,19 @@
 first-UIP clause learning, activity-based decisions, phase saving and Luby
 restarts. An external DIMACS solver can be substituted per call.
 
-Assumptions are handled by adding them as unit clauses to a fresh solver
-instance per call, which gives assumption semantics without incremental
-state. A hit on the configured time budget raises SolverTimeout, distinct
-from an unsat answer. Every sat model is verified against the clause
-database before it is returned.
+A Solver is incremental in the style of Eén & Sörensson, "An Extensible
+SAT-solver" (SAT 2003): variables can be added, clauses are added at
+decision level 0 and simplified against the level-0 assignment, and each
+run takes a list of assumption literals. Assumptions are decided first,
+one decision level each. A falsified assumption means unsat under those
+assumptions only; a conflict at level 0 leaves the solver unsat for good.
+Learnt clauses, activities and saved phases carry over from run to run.
+
+``solve`` is the single entry point. Given a reusable Solver it adds only
+the clauses that solver has not loaded yet; otherwise it starts a fresh
+one. A hit on the time budget raises SolverTimeout, distinct from an
+unsat answer. Every sat model is checked against the whole formula and
+the assumptions before it is returned.
 """
 
 from __future__ import annotations
@@ -15,7 +23,7 @@ import subprocess
 import tempfile
 import time
 from dataclasses import dataclass, field
-from heapq import heappop, heappush
+from heapq import heapify, heappop, heappush
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -25,6 +33,7 @@ from .errors import CnfError, SolverTimeout
 _RESTART_BASE = 128
 _ACTIVITY_DECAY = 0.95
 _ACTIVITY_LIMIT = 1e100
+_DEADLINE_STRIDE = 16  # conflicts or decisions between deadline checks
 
 
 @dataclass
@@ -71,56 +80,122 @@ def _luby(i: int) -> int:
 
 
 class Solver:
-    """Single-use solver over a fixed clause set (literal codes: 2v / 2v+1)."""
+    """Incremental CDCL solver (literal codes: 2v / 2v+1).
 
-    def __init__(self, n_vars: int, clauses: Iterable[Iterable[int]],
-                 deadline: float | None = None):
-        self.n_vars = n_vars
-        self.deadline = deadline
+    Clauses and variables only ever grow. ``run`` leaves the assignment of
+    its answer in place; the next ``add_clauses`` or ``run`` first returns
+    to level 0. ``solve`` hands a reusable Solver the clauses of its
+    formula from index ``loaded`` on, so one Solver serves one growing
+    formula.
+    """
+
+    def __init__(self):
+        self.n_vars = 0
+        self.deadline: float | None = None  # time.monotonic() limit
         self.stats = SolverStats()
+        self.ok = True  # False once the clauses alone are unsat
+        self.loaded = 0
         self.clauses: list[list[int]] = []
-        self.watches: list[list[int]] = [[] for _ in range(2 * n_vars + 2)]
+        self.watches: list[list[int]] = [[], []]
         # vals[code]: 0 unassigned, 1 true, 2 false
-        self.vals = [0] * (2 * n_vars + 2)
-        self.level = [0] * (n_vars + 1)
-        self.reason = [-1] * (n_vars + 1)
+        self.vals = [0, 0]
+        self.level = [0]
+        self.reason = [-1]
         self.trail: list[int] = []
         self.trail_lim: list[int] = []
         self.qhead = 0
-        self.activity = [0.0] * (n_vars + 1)
+        self.activity = [0.0]
         self.var_inc = 1.0
-        self.phase = [False] * (n_vars + 1)
+        self.phase = [False]
+        self.seen = [False]
         self.heap: list[tuple[float, int]] = []
-        self.unsat_at_load = False
+        self.queued = 0  # variables 1..queued have entered the heap
 
-        units: list[int] = []
-        for lits in clauses:
-            codes = []
-            for lit in lits:
-                v = abs(lit)
-                if v == 0 or v > n_vars:
-                    raise CnfError(f"literal {lit} out of range")
-                codes.append(2 * v if lit > 0 else 2 * v + 1)
-            if not codes:
-                self.unsat_at_load = True
-                return
-            if len(codes) == 1:
-                units.append(codes[0])
-                continue
-            ci = len(self.clauses)
-            self.clauses.append(codes)
-            self.watches[codes[0]].append(ci)
-            self.watches[codes[1]].append(ci)
-            for c in codes:
-                self.activity[c >> 1] += 1.0
-        for v in range(1, n_vars + 1):
-            heappush(self.heap, (-self.activity[v], v))
-        for code in units:
-            if self.vals[code] == 2:
-                self.unsat_at_load = True
-                return
-            if self.vals[code] == 0:
-                self._enqueue(code, -1)
+    # -- incremental interface ---------------------------------------------
+
+    def grow(self, n_vars: int) -> None:
+        """Make variables 1..n_vars available."""
+        extra = n_vars - self.n_vars
+        if extra <= 0:
+            return
+        self.watches.extend([] for _ in range(2 * extra))
+        self.vals.extend([0] * (2 * extra))
+        self.level.extend([0] * extra)
+        self.reason.extend([-1] * extra)
+        self.activity.extend([0.0] * extra)
+        self.phase.extend([False] * extra)
+        self.seen.extend([False] * extra)
+        self.n_vars = n_vars
+
+    def add_clauses(self, clauses: Iterable[Iterable[int]]) -> None:
+        """Add clauses at level 0 (DIMACS literals).
+
+        Literals false at level 0 are dropped and clauses satisfied at
+        level 0 are skipped. A clause left with one literal fixes it at
+        level 0; one left empty makes the solver unsat for good. The
+        deadline is checked every 4096 clauses; ``loaded`` counts the
+        clauses taken so far, so a call cut short can be resumed.
+        """
+        if self.trail_lim:
+            self._backtrack(0)
+        vals = self.vals
+        activity = self.activity
+        watches = self.watches
+        top = 2 * self.n_vars + 1
+        loaded = self.loaded
+        try:
+            for lits in clauses:
+                if not loaded & 4095:
+                    self._check_deadline()
+                if not self.ok:
+                    return
+                codes: list[int] = []
+                for lit in lits:
+                    code = 2 * lit if lit > 0 else 1 - 2 * lit
+                    if not 1 < code <= top:
+                        raise CnfError(f"literal {lit} out of range")
+                    val = vals[code]
+                    if not val:
+                        codes.append(code)
+                    elif val == 1:
+                        break
+                else:
+                    if len(codes) > 1:
+                        ci = len(self.clauses)
+                        self.clauses.append(codes)
+                        watches[codes[0]].append(ci)
+                        watches[codes[1]].append(ci)
+                        for c in codes:
+                            activity[c >> 1] += 1.0
+                    elif codes:
+                        self._enqueue(codes[0], -1)
+                    else:
+                        self.ok = False
+                loaded += 1
+        finally:
+            self.loaded = loaded
+
+    def run(self, assumptions: Sequence[int] = ()) -> SatOutcome:
+        """Search under assumption literals (DIMACS signs).
+
+        The outcome's stats cover this run only. On sat the model is total
+        over the solver's variables.
+        """
+        assume = []
+        for lit in assumptions:
+            code = 2 * lit if lit > 0 else 1 - 2 * lit
+            if not 1 < code <= 2 * self.n_vars + 1:
+                raise CnfError(f"assumption literal {lit} out of range")
+            assume.append(code)
+        stats = self.stats = SolverStats()
+        if self.trail_lim:
+            self._backtrack(0)
+        self._fill_heap()
+        if not self.ok or self._search(assume) == "unsat":
+            return SatOutcome("unsat", stats=stats)
+        vals = self.vals
+        model = {v: 1 if vals[2 * v] == 1 else 0 for v in range(1, self.n_vars + 1)}
+        return SatOutcome("sat", model=model, stats=stats)
 
     # -- core mechanics -----------------------------------------------------
 
@@ -188,7 +263,8 @@ class Solver:
 
     def _analyze(self, confl: int) -> tuple[list[int], int]:
         """First-UIP conflict analysis: (learned clause codes, backtrack level)."""
-        seen = [False] * (self.n_vars + 1)
+        seen = self.seen
+        level = self.level
         learnt: list[int] = []
         path = 0
         p = -1
@@ -200,10 +276,10 @@ class Solver:
             for j in range(start, len(lits)):
                 q = lits[j]
                 v = q >> 1
-                if not seen[v] and self.level[v] > 0:
+                if not seen[v] and level[v] > 0:
                     seen[v] = True
                     self._bump(v)
-                    if self.level[v] >= cur_level:
+                    if level[v] >= cur_level:
                         path += 1
                     else:
                         learnt.append(q)
@@ -219,13 +295,15 @@ class Solver:
                 break
             lits = self.clauses[self.reason[v]]
             start = 1
+        for q in learnt:
+            seen[q >> 1] = False
         learnt.insert(0, p ^ 1)
         if len(learnt) == 1:
             return learnt, 0
         # move a max-level literal into the second watch slot
-        max_j = max(range(1, len(learnt)), key=lambda j: self.level[learnt[j] >> 1])
+        max_j = max(range(1, len(learnt)), key=lambda j: level[learnt[j] >> 1])
         learnt[1], learnt[max_j] = learnt[max_j], learnt[1]
-        return learnt, self.level[learnt[1] >> 1]
+        return learnt, level[learnt[1] >> 1]
 
     def _backtrack(self, target: int) -> None:
         limit = self.trail_lim[target]
@@ -237,6 +315,19 @@ class Solver:
         del self.trail[limit:]
         del self.trail_lim[target:]
         self.qhead = limit
+
+    def _fill_heap(self) -> None:
+        """Give variables added since the last run their heap entries, and
+        drop stale entries once they outnumber the variables."""
+        n = self.n_vars
+        if len(self.heap) > 4 * n:
+            vals, activity = self.vals, self.activity
+            self.heap = [(-activity[v], v) for v in range(1, n + 1) if not vals[2 * v]]
+            heapify(self.heap)
+        else:
+            for v in range(self.queued + 1, n + 1):
+                heappush(self.heap, (-self.activity[v], v))
+        self.queued = n
 
     def _decide(self) -> bool:
         while self.heap:
@@ -252,19 +343,21 @@ class Solver:
         if self.deadline is not None and time.monotonic() > self.deadline:
             raise SolverTimeout("solver exceeded its time budget")
 
-    def run(self) -> SatOutcome:
-        if self.unsat_at_load:
-            return SatOutcome("unsat", stats=self.stats)
+    def _search(self, assume: list[int]) -> str:
+        """CDCL search from level 0; assumption i is decided at level i + 1."""
+        stats = self.stats
+        vals = self.vals
         restart_count = 0
         budget = _RESTART_BASE * _luby(1)
         conflicts_here = 0
         while True:
             confl = self._propagate()
             if confl >= 0:
-                self.stats.conflicts += 1
+                stats.conflicts += 1
                 conflicts_here += 1
                 if not self.trail_lim:
-                    return SatOutcome("unsat", stats=self.stats)
+                    self.ok = False
+                    return "unsat"
                 learnt, back = self._analyze(confl)
                 self._backtrack(back)
                 if len(learnt) == 1:
@@ -276,23 +369,28 @@ class Solver:
                     self.watches[learnt[1]].append(ci)
                     self._enqueue(learnt[0], ci)
                 self.var_inc /= _ACTIVITY_DECAY
-                if self.stats.conflicts % 64 == 0:
+                if not stats.conflicts % _DEADLINE_STRIDE:
                     self._check_deadline()
                 if conflicts_here >= budget:
                     restart_count += 1
-                    self.stats.restarts += 1
+                    stats.restarts += 1
                     conflicts_here = 0
                     budget = _RESTART_BASE * _luby(restart_count + 1)
                     if self.trail_lim:
                         self._backtrack(0)
+                continue
+            while len(self.trail_lim) < len(assume):
+                code = assume[len(self.trail_lim)]
+                if vals[code] == 2:
+                    return "unsat"
+                self.trail_lim.append(len(self.trail))
+                if vals[code] == 0:
+                    self._enqueue(code, -1)
+                    break
             else:
                 if len(self.trail) == self.n_vars:
-                    model = {
-                        v: 1 if self.vals[2 * v] == 1 else 0
-                        for v in range(1, self.n_vars + 1)
-                    }
-                    return SatOutcome("sat", model=model, stats=self.stats)
-                if self.stats.decisions % 512 == 0:
+                    return "sat"
+                if not stats.decisions % _DEADLINE_STRIDE:
                     self._check_deadline()
                 self._decide()
 
@@ -302,30 +400,44 @@ def solve(
     assumptions: Iterable[int] = (),
     timeout_ms: float | None = None,
     external_command: Sequence[str] | None = None,
+    solver: Solver | None = None,
 ) -> SatOutcome:
     """Decide a formula under optional assumption literals.
 
-    With ``external_command`` the formula (plus assumptions as units) goes
-    to that solver as a DIMACS file; otherwise the built-in CDCL engine
-    decides it. Raises SolverTimeout when the budget is exhausted. On sat,
-    the model is total over the formula's variables and verified against
-    every clause.
+    The built-in CDCL engine loads the clauses of ``cnf`` it has not seen
+    and searches under the assumptions. Pass a reusable ``solver`` to keep
+    it, and its learnt clauses, for later calls on the same growing
+    formula; otherwise a fresh one is used. With ``external_command`` that
+    solver gets the formula (plus assumptions as units) as a DIMACS file
+    instead. The budget covers loading and search. Raises SolverTimeout
+    when the budget is exhausted. On sat, the model is total over the
+    formula's variables and is checked against every clause and every
+    assumption.
     """
     assumptions = list(assumptions)
     for lit in assumptions:
         if lit == 0 or abs(lit) > cnf.var_count:
             raise CnfError(f"assumption literal {lit} out of range")
-    clause_iter = cnf.clauses + [[lit] for lit in assumptions]
     if external_command is not None:
+        if solver is not None:
+            raise ValueError("a reusable solver cannot run an external command")
         augmented = CnfFormula(var_count=cnf.var_count)
-        augmented.clauses = clause_iter
+        augmented.clauses = cnf.clauses + [[lit] for lit in assumptions]
         outcome = solve_with_external(augmented, external_command, timeout_ms)
     else:
-        deadline = None
+        if solver is None:
+            solver = Solver()
+        solver.deadline = None
         if timeout_ms is not None:
-            deadline = time.monotonic() + timeout_ms / 1000.0
-        outcome = Solver(cnf.var_count, clause_iter, deadline).run()
-    if outcome.status == "sat" and not model_satisfies(cnf, outcome.model):
+            solver.deadline = time.monotonic() + timeout_ms / 1000.0
+        solver.grow(cnf.var_count)
+        solver.add_clauses(cnf.clauses[solver.loaded:])
+        solver._check_deadline()
+        outcome = solver.run(assumptions)
+    if outcome.status == "sat" and not (
+        model_satisfies(cnf, outcome.model)
+        and all(outcome.model[abs(lit)] == (lit > 0) for lit in assumptions)
+    ):
         raise AssertionError("solver produced a non-satisfying model")
     return outcome
 

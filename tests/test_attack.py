@@ -1,4 +1,6 @@
+import gc
 import itertools
+import time
 
 import pytest
 
@@ -9,7 +11,7 @@ from benchlock.attack import (
     equivalence_check,
     sat_attack,
 )
-from benchlock.circuits import c17, parallel_cones
+from benchlock.circuits import c17, c432_scale, parallel_cones, random_netlist
 from benchlock.errors import AttackError, InterfaceError, StatError
 from benchlock.locking import (
     Key,
@@ -150,6 +152,46 @@ def test_attack_timeout_aborts():
                                    dummy_policy="random_function", seed=3))
     result = sat_attack(locked, Oracle(c), timeout_ms=0.0001)
     assert result.status == "aborted_timeout"
+
+
+def test_attack_timeout_holds_on_large_netlist():
+    # the budget is checked after the miter is built and before each DIP is
+    # encoded, so a tiny budget overshoots by at most one miter build
+    n = random_netlist(32, 2000, 11)
+    locked, _ = lock(n, LockConfig(key_size=64, seed=1))
+    gc.collect()  # no full collection of earlier tests' garbage inside the timing
+    t0 = time.monotonic()
+    build_miter(locked)
+    miter_ms = (time.monotonic() - t0) * 1000.0
+    result = sat_attack(locked, Oracle(n), timeout_ms=50)
+    assert result.status == "aborted_timeout"
+    assert result.elapsed_ms <= 50 + miter_ms
+
+
+def test_attack_is_deterministic():
+    big = c432_scale()
+    locked, _ = lock(big, LockConfig(key_size=16, keygate_policy="mixed", seed=5))
+    first = sat_attack(locked, Oracle(big))
+    second = sat_attack(locked, Oracle(big))
+    assert first.status == "key_recovered"
+    assert first.dips == second.dips
+    assert first.solver_stats == second.solver_stats
+    assert first.recovered_key == second.recovered_key
+
+
+def test_attack_constant_output_contradicting_oracle_raises():
+    # z does not depend on the key, and the oracle disagrees on it for every
+    # input: the first DIP's constraint on z is an empty clause
+    locked = Netlist("l", ["a", "b", "keyinput0"], ["y", "z"], [
+        Gate("y", GateKind.XOR, ("a", "keyinput0")),
+        Gate("z", GateKind.AND, ("a", "b")),
+    ])
+    oracle = Netlist("o", ["a", "b"], ["y", "z"], [
+        Gate("y", GateKind.BUFF, ("a",)),
+        Gate("z", GateKind.NAND, ("a", "b")),
+    ])
+    with pytest.raises(AttackError, match="inconsistent"):
+        sat_attack(locked, Oracle(oracle))
 
 
 def test_attack_inconsistent_oracle_raises():

@@ -93,6 +93,19 @@ def test_http_transport_non_json_body(endpoint):
         transport.send((ChatMessage("user", "x"),), "m", {})
 
 
+@pytest.mark.parametrize("body", [
+    b'{"choices": ["x"]}',
+    b'[{"choices": []}]',
+    b'{"choices": [{"message": null}]}',
+    b'{"choices": [{"message": {"role": "assistant", "content": null}}]}',
+], ids=["choice-is-string", "top-level-list", "message-null", "content-null"])
+def test_http_transport_wrong_json_shape(endpoint, body):
+    _CannedHandler.raw_body = body
+    transport = HttpTransport(endpoint)
+    with pytest.raises(TransportError, match="malformed chat response"):
+        transport.send((ChatMessage("user", "x"),), "m", {})
+
+
 def test_http_transport_connection_refused():
     with socket.socket() as sock:
         sock.bind(("127.0.0.1", 0))

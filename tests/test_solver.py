@@ -3,10 +3,12 @@ import sys
 import textwrap
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from benchlock.cnf import CnfFormula, brute_force_status, model_satisfies
 from benchlock.errors import CnfError, SolverTimeout
-from benchlock.solver import solve, solve_with_external
+from benchlock.solver import Solver, solve, solve_with_external
 
 
 def formula(n_vars, clauses):
@@ -129,6 +131,100 @@ def test_deterministic_outcomes():
     assert a.status == b.status
     assert a.model == b.model
     assert a.stats.as_dict() == b.stats.as_dict()
+
+
+# -- incremental solving -------------------------------------------------------------
+
+
+@st.composite
+def incremental_scripts(draw):
+    """A random 3-CNF cut into chunks, each followed by assumption sets;
+    every chunk's sets assume both polarities of one pivot variable.
+    Clauses may repeat a variable, so duplicate literals and tautologies
+    occur too."""
+    n = draw(st.integers(8, 16))
+    literal = st.integers(1, 2 * n).map(lambda x: x if x <= n else n - x)
+    steps = []
+    for _ in range(draw(st.integers(3, 4))):
+        lits = draw(st.lists(literal, min_size=3 * (n // 2), max_size=6 * n))
+        chunk = [lits[i:i + 3] for i in range(0, len(lits) - 2, 3)]
+        pivot = draw(literal)
+        extra = draw(st.lists(literal, max_size=3, unique_by=abs).filter(
+            lambda xs, p=pivot: all(abs(x) != abs(p) for x in xs)))
+        others = draw(st.lists(st.lists(literal, max_size=5, unique_by=abs),
+                               max_size=2))
+        steps.append((chunk, [[pivot, *extra], [-pivot, *extra], [], *others]))
+    return n, steps
+
+
+@settings(derandomize=True, deadline=None, max_examples=60, database=None)
+@given(incremental_scripts())
+def test_incremental_agrees_with_brute_force(script):
+    n, steps = script
+    cnf = CnfFormula(var_count=n)
+    solver = Solver()
+    unsat_for_good = False
+    for chunk, assumption_sets in steps:
+        for clause in chunk:
+            cnf.add_clause(clause)
+        for assumptions in assumption_sets:
+            out = solve(cnf, assumptions, solver=solver)
+            with_units = CnfFormula(var_count=n)
+            with_units.clauses = cnf.clauses + [[lit] for lit in assumptions]
+            assert out.status == brute_force_status(with_units)
+            if out.status == "sat":
+                assert model_satisfies(cnf, out.model)
+                assert all(out.model[abs(lit)] == (lit > 0) for lit in assumptions)
+            elif not assumptions:
+                unsat_for_good = True
+            if unsat_for_good:
+                assert out.status == "unsat"
+
+
+def test_incremental_falsified_assumption_is_not_permanent():
+    cnf = formula(3, [[1, 2], [-1, 3]])
+    solver = Solver()
+    assert solve(cnf, [1, -3], solver=solver).status == "unsat"
+    out = solve(cnf, [1], solver=solver)
+    assert out.status == "sat" and out.model[3] == 1
+    cnf.add_clause([-3])
+    assert solve(cnf, [1], solver=solver).status == "unsat"
+    assert solve(cnf, solver=solver).status == "sat"
+    cnf.add_clause([-2])
+    assert solve(cnf, solver=solver).status == "unsat"
+    assert not solver.ok
+
+
+def test_incremental_loads_only_new_clauses():
+    cnf = formula(2, [[1, 2]])
+    solver = Solver()
+    solve(cnf, solver=solver)
+    assert solver.loaded == 1
+    cnf.var_count = 3
+    cnf.add_clause([-1, 3])
+    cnf.add_clause([-2, 3])
+    out = solve(cnf, [-3], solver=solver)
+    assert solver.loaded == 3 and out.status == "unsat"
+
+
+def test_incremental_load_cut_short_by_timeout_resumes():
+    # positive units only: a unit the solver never took leaves its variable
+    # free, decided false, and the model check against the formula fails
+    cnf = formula(5000, [[1]])
+    solver = Solver()
+    solve(cnf, solver=solver)
+    for v in range(2, 5001):
+        cnf.add_clause([v])
+    with pytest.raises(SolverTimeout):
+        solve(cnf, solver=solver, timeout_ms=0)
+    assert 1 < solver.loaded < len(cnf.clauses)
+    out = solve(cnf, solver=solver)
+    assert out.status == "sat" and solver.loaded == len(cnf.clauses)
+
+
+def test_reusable_solver_refuses_external_command():
+    with pytest.raises(ValueError):
+        solve(formula(1, [[1]]), solver=Solver(), external_command=["true"])
 
 
 # -- external solver path ---------------------------------------------------------
