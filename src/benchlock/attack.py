@@ -23,7 +23,7 @@ from typing import Iterable
 from .cnf import CnfFormula, encode_into
 from .errors import AttackError, InterfaceError, SolverTimeout, StatError
 from .locking import KEY_PREFIX, Key, LockedNetlist, apply_key, resolve_key_inputs
-from .netlist import Netlist, cofactor
+from .netlist import Netlist, cofactor, simulate_words
 from .solver import SatOutcome, Solver, SolverStats, solve
 
 DEFAULT_TIMEOUT_MS = 300_000
@@ -79,14 +79,12 @@ def _miter(
 
 
 def build_miter(
-    locked: LockedNetlist | Netlist,
-    key_prefix: str = KEY_PREFIX,
-    allow_keyless: bool = False,
+    locked: LockedNetlist | Netlist, key_prefix: str = KEY_PREFIX
 ) -> MiterContext:
     """Two Tseitin copies sharing PIs, independent keys, and an activatable
     difference constraint (at least one output pair differs)."""
     netlist, key_inputs = resolve_key_inputs(locked, key_prefix=key_prefix)
-    if not key_inputs and not allow_keyless:
+    if not key_inputs:
         raise AttackError("netlist has no key inputs; nothing to attack")
     keyset = set(key_inputs)
     real_pis = [pi for pi in netlist.primary_inputs if pi not in keyset]
@@ -319,15 +317,15 @@ def corruption_stats(
     inputs: int = 100,
     seed: int = 0,
     key_prefix: str = KEY_PREFIX,
-    wrong_key_override: list[Key] | None = None,
 ) -> CorruptionStats:
     """Sampled wrong-key output corruption.
 
     corruption_rate is the fraction of (wrong key, input) pairs whose
     outputs differ anywhere from the oracle; mean_output_hamming averages
     the number of differing outputs over all pairs. Deterministic for a
-    fixed seed. ``wrong_key_override`` substitutes an explicit key list
-    (test/debug hook).
+    fixed seed. The oracle answers each sampled input once; the locked
+    netlist is simulated once per wrong key, with the inputs packed one
+    per bit.
     """
     netlist, key_inputs = resolve_key_inputs(locked, key_prefix=key_prefix)
     width = len(key_inputs)
@@ -341,16 +339,13 @@ def corruption_stats(
         raise StatError("need at least one wrong key and one input sample")
 
     rng = random.Random(seed)
-    if wrong_key_override is not None:
-        keys = list(wrong_key_override)
-    else:
-        keys = []
-        for _ in range(wrong_keys):
-            while True:
-                cand = tuple(rng.getrandbits(1) for _ in range(width))
-                if cand != correct_key.bits:
-                    break
-            keys.append(Key(cand))
+    keys = []
+    for _ in range(wrong_keys):
+        while True:
+            cand = tuple(rng.getrandbits(1) for _ in range(width))
+            if cand != correct_key.bits:
+                break
+        keys.append(cand)
 
     keyset = set(key_inputs)
     real_pis = [pi for pi in netlist.primary_inputs if pi not in keyset]
@@ -359,18 +354,24 @@ def corruption_stats(
     ]
     golden = [oracle(x) for x in vectors]
 
-    pairs = 0
+    def pack(samples: list[dict[str, int]], names: Iterable[str]) -> dict[str, int]:
+        return {n: sum(s[n] << j for j, s in enumerate(samples)) for n in names}
+
+    words = pack(vectors, real_pis)
+    want = pack(golden, golden[0])
+    ones = (1 << inputs) - 1
     corrupted = 0
     hamming_total = 0
     for key in keys:
-        key_assign = dict(zip(key_inputs, key.bits))
-        for x, want in zip(vectors, golden):
-            got = netlist.simulate({**x, **key_assign})
-            diff = sum(1 for po in want if got[po] != want[po])
-            pairs += 1
-            hamming_total += diff
-            if diff:
-                corrupted += 1
+        words.update((k, ones if bit else 0) for k, bit in zip(key_inputs, key))
+        got = simulate_words(netlist, words, inputs)
+        differs = 0
+        for po, word in want.items():
+            diff = got[po] ^ word
+            differs |= diff
+            hamming_total += diff.bit_count()
+        corrupted += differs.bit_count()
+    pairs = len(keys) * inputs
     return CorruptionStats(
         corruption_rate=corrupted / pairs,
         mean_output_hamming=hamming_total / pairs,

@@ -1,8 +1,10 @@
 """Command-line surface for the full lock/attack/verify pipeline.
 
 Exit codes: 0 success, 1 operational failure (attack aborted, verify
-mismatch, LLM gave up), 2 usage or input-parse errors. With --json-errors
-a machine-readable error object goes to stderr instead of prose.
+mismatch, LLM gave up), 2 usage or input errors, including an AttackError:
+a locked netlist with no key inputs, or one that no key makes consistent
+with the oracle, is bad input. With --json-errors a machine-readable error
+object goes to stderr instead of prose.
 """
 
 from __future__ import annotations

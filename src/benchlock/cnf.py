@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 from typing import Iterable, Mapping
 
 from .errors import CnfError, StructuralError
-from .netlist import GateKind, Netlist
+from .netlist import GateKind, Netlist, input_pattern
 
 VarMap = dict  # net name -> variable index, one circuit copy
 
@@ -233,22 +233,13 @@ def brute_force_status(cnf: CnfFormula, max_vars: int = 24) -> str:
     n = cnf.var_count
     if n > max_vars:
         raise CnfError(f"{n} variables exceeds brute-force limit {max_vars}")
-    width = 1 << n
-    ones = (1 << width) - 1
-    pos: dict[int, int] = {}
-
-    def pattern(v: int) -> int:
-        if v not in pos:
-            half = 1 << (v - 1)
-            chunk = ((1 << half) - 1) << half
-            pos[v] = chunk * (ones // ((1 << (half << 1)) - 1))
-        return pos[v]
-
+    ones = (1 << (1 << n)) - 1
+    pos = [0] + [input_pattern(v - 1, n) for v in range(1, n + 1)]
     live = ones
     for clause in cnf.clauses:
         mask = 0
         for lit in clause:
-            p = pattern(abs(lit))
+            p = pos[abs(lit)]
             mask |= p if lit > 0 else p ^ ones
         live &= mask
         if live == 0:

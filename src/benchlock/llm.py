@@ -11,7 +11,6 @@ from __future__ import annotations
 import importlib.resources
 import http.client
 import json
-import time
 import urllib.request
 from dataclasses import dataclass
 from typing import Callable, Protocol, Sequence
@@ -38,6 +37,8 @@ from .verilog import parse_verilog_subset
 from .verify import functional_verify, structural_check
 
 CONTINUE_PROMPT = "Continue from the last line"
+STITCH_MAX_OVERLAP = 50  # most repeated lines trimmed from a continuation
+EXHAUSTIVE_KEY_WIDTH = 8  # widest LLM key swept over every value
 API_KEY_ENV = "OBFUS_API_KEY"
 
 # Obfuscation guidance offered to the model, selectable by name.
@@ -224,12 +225,12 @@ def looks_truncated(text: str, finish_reason: str | None = None) -> bool:
     return False
 
 
-def stitch(prev: str, cont: str, max_overlap: int = 50) -> str:
+def stitch(prev: str, cont: str) -> str:
     """Concatenate a continuation, trimming a repeated-line overlap."""
     prev_lines = prev.rstrip("\n").split("\n")
     cont_lines = cont.lstrip("\n").split("\n")
     best = 0
-    limit = min(len(prev_lines), len(cont_lines), max_overlap)
+    limit = min(len(prev_lines), len(cont_lines), STITCH_MAX_OVERLAP)
     for k in range(limit, 0, -1):
         if [ln.rstrip() for ln in prev_lines[-k:]] == [
             ln.rstrip() for ln in cont_lines[:k]
@@ -249,7 +250,6 @@ def run_with_continuation(
     params: dict | None = None,
     max_continuations: int = 3,
     transport_retries: int = 1,
-    retry_wait_s: float = 0.0,
 ) -> tuple[str, tuple[ChatMessage, ...], int]:
     """Send a prompt, continuing past truncation with the fixed
     continuation request.
@@ -264,14 +264,12 @@ def run_with_continuation(
     continuations = 0
     while True:
         last_error = None
-        for attempt in range(transport_retries + 1):
+        for _ in range(transport_retries + 1):
             try:
                 response = transport.send(tuple(history), model, params)
                 break
             except TransportError as exc:
                 last_error = exc
-                if attempt < transport_retries and retry_wait_s:
-                    time.sleep(retry_wait_s)
         else:
             raise last_error
         history.append(ChatMessage("assistant", response.content))
@@ -407,11 +405,10 @@ def llm_obfuscate(
     max_continuations: int = 3,
     validation_retries: int = 2,
     fallback: bool = True,
-    exhaustive_key_width: int = 8,
 ) -> tuple[LockedNetlist, LlmRunRecord]:
     """Ask the model to lock the netlist; verify structure and function.
 
-    Key widths up to ``exhaustive_key_width`` are verified under every key
+    Key widths up to EXHAUSTIVE_KEY_WIDTH are verified under every key
     value (and the correct key recovered that way when the declaration is
     missing or wrong); wider keys require a correct ``# key=`` declaration,
     checked by SAT equivalence. After the retry cap the deterministic
@@ -433,35 +430,28 @@ def llm_obfuscate(
             raise InterfaceError("; ".join(diags))
 
         declared = _declared_key(clean, k)
-        correct = None
-        if k <= exhaustive_key_width:
-            if declared is not None:
-                v = functional_verify(candidate, netlist, declared, "auto", key_inputs)
-                if v.functional == "equivalent":
-                    correct = declared
-            if correct is None:
-                for value in range(1 << k):
-                    trial = Key(tuple((value >> i) & 1 for i in range(k)))
-                    v = functional_verify(candidate, netlist, trial, "auto", key_inputs)
-                    if v.functional == "equivalent":
-                        correct = trial
-                        break
-            if correct is None:
-                raise InterfaceError(
-                    "no key value makes the candidate match the original design"
-                )
-        else:
-            if declared is None:
-                raise InterfaceError(
-                    f"key width {k} > {exhaustive_key_width} requires a "
-                    "'# key=...' declaration"
-                )
-            v = functional_verify(candidate, netlist, declared, "auto", key_inputs)
-            if v.functional != "equivalent":
-                raise InterfaceError(
-                    "declared key does not reproduce the original behavior"
-                )
-            correct = declared
+        trials = [] if declared is None else [declared]
+        if k <= EXHAUSTIVE_KEY_WIDTH:
+            trials += [
+                Key(tuple((value >> i) & 1 for i in range(k)))
+                for value in range(1 << k)
+            ]
+        elif declared is None:
+            raise InterfaceError(
+                f"key width {k} > {EXHAUSTIVE_KEY_WIDTH} requires a "
+                "'# key=...' declaration"
+            )
+        correct = next((
+            trial for trial in trials
+            if functional_verify(candidate, netlist, trial, "auto",
+                                 key_inputs).functional == "equivalent"
+        ), None)
+        if correct is None:
+            raise InterfaceError(
+                "no key value makes the candidate match the original design"
+                if k <= EXHAUSTIVE_KEY_WIDTH
+                else "declared key does not reproduce the original behavior"
+            )
         ledger = tuple(
             LockRecord(i, "(llm)", "(llm)", False, "(llm)")
             for i in range(k)

@@ -109,7 +109,6 @@ class LockConfig:
     seed: int = 0
     preset: str | None = None
     key_prefix: str = KEY_PREFIX
-    allow_empty_key: bool = False  # debug escape hatch for key_size 0
 
     def normalized(self) -> "LockConfig":
         cfg = self
@@ -123,7 +122,7 @@ class LockConfig:
             )
         elif cfg.preset is not None:
             raise LockError(f"unknown preset: {cfg.preset!r}")
-        if cfg.key_size < 0 or (cfg.key_size == 0 and not cfg.allow_empty_key):
+        if cfg.key_size < 1:
             raise LockError("key_size must be >= 1")
         if not 0.0 <= cfg.xor_fraction <= 1.0:
             raise LockError(f"xor_fraction out of range: {cfg.xor_fraction}")
@@ -311,8 +310,6 @@ def _dummy_net(
     the dummy outside tfi/tfo of the locked net so insertion can never
     close a cycle.
     """
-    snapshot = bench.snapshot()
-
     if policy == "constant":
         bit = rng.getrandbits(1)
         # anchor must differ from the target: a PI-mode lock rewires every
@@ -332,6 +329,7 @@ def _dummy_net(
             raise DummyError(f"no primary input available as dummy for {target!r}")
         return rng.choice(pool), "primary_input"
 
+    snapshot = bench.snapshot()
     blocked = snapshot.tfi(target) | snapshot.tfo(target) | {target}
     key_names = set(bench.pis) - set(bench.original_pis)
     pool = [
@@ -348,11 +346,7 @@ def _dummy_net(
         raise DummyError(f"too few nets to build a dummy function for {target!r}")
     want = min(want, len(pool))
     operands = rng.sample(pool, want)
-    if want == 2:
-        net = bench.fresh(f"km{bit_index}_f0")
-        bench.gates.append(Gate(net, rng.choice(_RANDOM_FN_KINDS), operands))
-        return net, "random_function"
-    if rng.getrandbits(1):
+    if want == 2 or rng.getrandbits(1):
         net = bench.fresh(f"km{bit_index}_f0")
         bench.gates.append(Gate(net, rng.choice(_RANDOM_FN_KINDS), operands))
         return net, "random_function"
@@ -471,11 +465,6 @@ def lock(netlist: Netlist, config: LockConfig) -> tuple[LockedNetlist, Key]:
     key_seed, select_seed, split_seed, dummy_seed = (
         root.getrandbits(64) for _ in range(4)
     )
-    if cfg.key_size == 0:
-        return (
-            LockedNetlist(netlist, (), Key(()), ()),
-            Key(()),
-        )
     key = generate_key(cfg.key_size, key_seed)
     nets = select_nets(netlist, cfg.selection, cfg.key_size, select_seed)
 

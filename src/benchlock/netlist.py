@@ -282,19 +282,7 @@ class Netlist:
 
     def net_values(self, assignment: Mapping[str, int]) -> dict[str, int]:
         """Like simulate() but returns the value of every net."""
-        values: dict[str, int] = {}
-        for pi in self.primary_inputs:
-            if pi not in assignment:
-                raise UnknownNet(f"input error: missing primary input '{pi}'")
-            bit = int(assignment[pi])
-            if bit not in (0, 1):
-                raise ValueError(f"non-bit value for '{pi}': {assignment[pi]!r}")
-            values[pi] = bit
-        for gate in self.topo_order():
-            values[gate.output] = eval_gate(
-                gate.kind, [values[i] for i in gate.inputs], 1
-            )
-        return values
+        return simulate_words(self, assignment, 1)
 
     # -- structural analysis ----------------------------------------------------
 
@@ -338,8 +326,7 @@ class Netlist:
         the net."""
         if not self.has_net(net):
             raise UnknownNet(f"unknown net: {net!r}")
-        po_slots = sum(1 for po in self.primary_outputs if po == net)
-        return len(self._load_table()[net]) + po_slots
+        return len(self._load_table()[net]) + self.primary_outputs.count(net)
 
     def stats(self) -> CircuitStats:
         by_kind: dict[str, int] = {}
@@ -373,6 +360,34 @@ class Netlist:
             f"Netlist({self.name!r}, {len(self.primary_inputs)} PI, "
             f"{len(self.primary_outputs)} PO, {len(self.gates)} gates)"
         )
+
+
+def simulate_words(
+    netlist: Netlist, words: Mapping[str, int], width: int
+) -> dict[str, int]:
+    """Bit-parallel simulation of ``width`` input vectors at once.
+
+    Bit j of ``words[pi]`` is the value of ``pi`` in vector j; the result
+    holds every net's word in the same packing. Extra keys in ``words``
+    are ignored. This is the one gate-evaluation loop: single vectors,
+    sampled batches and truth tables all run through it.
+    """
+    ones = (1 << width) - 1
+    values: dict[str, int] = {}
+    for pi in netlist.primary_inputs:
+        if pi not in words:
+            raise UnknownNet(f"input error: missing primary input '{pi}'")
+        word = int(words[pi])
+        if word < 0 or word > ones:
+            raise ValueError(
+                f"value for '{pi}' does not fit {width} bit(s): {words[pi]!r}"
+            )
+        values[pi] = word
+    for gate in netlist.topo_order():
+        values[gate.output] = eval_gate(
+            gate.kind, [values[i] for i in gate.inputs], ones
+        )
+    return values
 
 
 EXHAUSTIVE_PI_LIMIT = 28
@@ -416,20 +431,11 @@ def truth_tables(
             f"{n} free inputs exceeds the exhaustive limit "
             f"({EXHAUSTIVE_PI_LIMIT}); use the SAT mode instead"
         )
-    ones = (1 << (1 << n)) - 1
-    values: dict[str, int] = {}
-    for i, pi in enumerate(order):
-        values[pi] = input_pattern(i, n)
+    width = 1 << n
+    words = {pi: input_pattern(i, n) for i, pi in enumerate(order)}
     for pi, bit in extra.items():
-        values[pi] = ones if bit else 0
-    for pi in netlist.primary_inputs:
-        if pi not in values:
-            raise UnknownNet(f"input error: missing primary input '{pi}'")
-    for gate in netlist.topo_order():
-        values[gate.output] = eval_gate(
-            gate.kind, [values[i] for i in gate.inputs], ones
-        )
-    return values
+        words[pi] = (1 << width) - 1 if bit else 0
+    return simulate_words(netlist, words, width)
 
 
 def vector_assignment(order: Iterable[str], j: int) -> dict[str, int]:

@@ -1,8 +1,11 @@
 import gc
 import itertools
+import random
 import time
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from benchlock.attack import (
     Oracle,
@@ -19,6 +22,7 @@ from benchlock.locking import (
     apply_key,
     insert_xor_keygates,
     lock,
+    resolve_key_inputs,
 )
 from benchlock.netlist import Gate, GateKind, Netlist
 from benchlock.solver import solve
@@ -44,11 +48,6 @@ def test_miter_variable_arithmetic():
 def test_miter_requires_key_inputs():
     with pytest.raises(AttackError, match="no key inputs"):
         build_miter(and_gate())
-
-
-def test_keyless_debug_miter_is_unsat():
-    m = build_miter(and_gate(), allow_keyless=True)
-    assert solve(m.cnf, assumptions=[m.activator]).status == "unsat"
 
 
 def test_miter_sat_only_for_differing_keys():
@@ -238,28 +237,12 @@ def test_equivalence_applied_lock(adder):
 # -- corruption ------------------------------------------------------------------------------
 
 
-def test_corruption_zero_for_correct_key_override():
-    c = c17()
-    locked, key = lock(c, LockConfig(key_size=4, seed=42))
-    stats = corruption_stats(
-        locked, Oracle(c), key, wrong_keys=1, inputs=16, seed=0,
-        wrong_key_override=[key],
-    )
-    assert stats.corruption_rate == 0.0
-    assert stats.mean_output_hamming == 0.0
-
-
 def test_corruption_total_for_po_driver_complement():
+    # a 1-bit lock: the only wrong key is the complement, which flips y
     n = and_gate()
     locked = insert_xor_keygates(n, ["y"], (0,))
     stats = corruption_stats(
-        locked,
-        Oracle(n),
-        locked.correct_key,
-        wrong_keys=1,
-        inputs=4,
-        seed=1,
-        wrong_key_override=[locked.correct_key.complemented()],
+        locked, Oracle(n), locked.correct_key, wrong_keys=1, inputs=4, seed=1
     )
     assert stats.corruption_rate == 1.0
     assert stats.mean_output_hamming >= 1.0
@@ -269,9 +252,90 @@ def test_corruption_c17_seeded_golden():
     c = c17()
     locked, key = lock(c, LockConfig(key_size=4, keygate_policy="xor_only", seed=42))
     stats = corruption_stats(locked, Oracle(c), key, wrong_keys=100, inputs=100, seed=0)
-    assert stats.corruption_rate > 0
+    # recorded from the one-simulation-per-pair implementation
+    assert stats.as_dict() == {
+        "corruption_rate": 0.6684, "mean_output_hamming": 0.9046,
+        "wrong_keys": 100, "inputs": 100, "seed": 0,
+    }
     again = corruption_stats(locked, Oracle(c), key, wrong_keys=100, inputs=100, seed=0)
     assert stats == again
+
+
+@pytest.mark.parametrize("circuit, config, samples, want", [
+    (lambda: parallel_cones(8),
+     LockConfig(key_size=8, keygate_policy="mixed", seed=1), (50, 50, 1),
+     (0.9596, 2.5112)),
+    (c432_scale,
+     LockConfig(key_size=8, keygate_policy="mixed", seed=3), (50, 50, 3),
+     (0.2764, 0.2796)),
+    (lambda: random_netlist(14, 600, 5, with_mux=True),
+     LockConfig(key_size=8, keygate_policy="mux_only",
+                dummy_policy="random_function", seed=2), (30, 70, 2),
+     (0.6580952380952381, 5.405238095238095)),
+], ids=["cones8", "c432s", "rand_mux"])
+def test_corruption_pinned_goldens(circuit, config, samples, want):
+    # recorded from the one-simulation-per-pair implementation
+    n = circuit()
+    locked, key = lock(n, config)
+    oracle = Oracle(n)
+    wrong_keys, inputs, seed = samples
+    stats = corruption_stats(locked, oracle, key, wrong_keys, inputs, seed)
+    assert (stats.corruption_rate, stats.mean_output_hamming) == want
+    assert (stats.wrong_keys, stats.inputs, stats.seed) == samples
+    assert oracle.queries == inputs
+
+
+def _corruption_per_pair(locked, oracle_netlist, correct_key, wrong_keys, inputs,
+                         seed):
+    """The former implementation: one simulation per (wrong key, input)."""
+    netlist, key_inputs = resolve_key_inputs(locked)
+    rng = random.Random(seed)
+    keys = []
+    for _ in range(wrong_keys):
+        while True:
+            cand = tuple(rng.getrandbits(1) for _ in range(len(key_inputs)))
+            if cand != correct_key.bits:
+                break
+        keys.append(cand)
+    real_pis = [pi for pi in netlist.primary_inputs if pi not in key_inputs]
+    vectors = [{pi: rng.getrandbits(1) for pi in real_pis} for _ in range(inputs)]
+    golden = [oracle_netlist.simulate(x) for x in vectors]
+    corrupted = hamming = 0
+    for key in keys:
+        for x, want in zip(vectors, golden):
+            got = netlist.simulate({**x, **dict(zip(key_inputs, key))})
+            diff = sum(1 for po in want if got[po] != want[po])
+            hamming += diff
+            corrupted += diff > 0
+    pairs = len(keys) * inputs
+    return {"corruption_rate": corrupted / pairs,
+            "mean_output_hamming": hamming / pairs,
+            "wrong_keys": wrong_keys, "inputs": inputs, "seed": seed}
+
+
+@settings(derandomize=True, deadline=None, max_examples=40, database=None)
+@given(
+    circuit_seed=st.integers(0, 10_000),
+    n_inputs=st.integers(2, 8),
+    n_gates=st.integers(8, 40),
+    with_mux=st.booleans(),
+    key_size=st.integers(1, 4),
+    policy=st.sampled_from(["xor_only", "mux_only", "mixed"]),
+    wrong_keys=st.integers(1, 8),
+    inputs=st.integers(1, 70),
+    seed=st.integers(0, 10_000),
+)
+def test_corruption_matches_per_pair_reference(
+    circuit_seed, n_inputs, n_gates, with_mux, key_size, policy, wrong_keys,
+    inputs, seed,
+):
+    n = random_netlist(n_inputs, n_gates, circuit_seed, with_mux=with_mux)
+    locked, key = lock(n, LockConfig(key_size=key_size, keygate_policy=policy,
+                                     dummy_policy="primary_input", seed=seed))
+    got = corruption_stats(locked, Oracle(n), key, wrong_keys, inputs, seed)
+    assert got.as_dict() == _corruption_per_pair(
+        locked, n, key, wrong_keys, inputs, seed
+    )
 
 
 def test_corruption_honours_key_prefix_on_plain_netlist():

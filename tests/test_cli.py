@@ -161,3 +161,20 @@ def test_bad_flag_exits_two(c17_file):
         main(["lock", "--input", str(c17_file), "--key-size", "4",
               "--select", "bogus", "--output", "x", "--key-out", "y"])
     assert exc.value.code == 2
+
+
+def test_attack_with_inconsistent_oracle_is_input_error(tmp_path, c17_file, capsys):
+    locked = tmp_path / "locked.bench"
+    main(["lock", "--input", str(c17_file), "--key-size", "4", "--seed", "42",
+          "--output", str(locked), "--key-out", str(tmp_path / "c17.key")])
+    assert "G22 = NAND" in locked.read_text()  # no key gate sits on G22
+    wrong = tmp_path / "wrong.bench"
+    wrong.write_text(c17_file.read_text().replace("G22 = NAND", "G22 = AND"))
+    assert "G22 = AND" in wrong.read_text()
+    capsys.readouterr()
+    rc = main(["attack", "--locked", str(locked), "--oracle", str(wrong),
+               "--json-errors"])
+    assert rc == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"]["type"] == "AttackError"
+    assert "inconsistent" in err["error"]["message"]

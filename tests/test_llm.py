@@ -232,11 +232,9 @@ def test_obfuscate_wide_key_requires_declaration():
     locked, key = lock(c, cfg)
     mock = MockTransport([emit_bench(locked.netlist)] * 3)
     with pytest.raises(ValidationFailed):
-        llm_obfuscate(mock, c, cfg, validation_retries=2, fallback=False,
-                      exhaustive_key_width=8)
+        llm_obfuscate(mock, c, cfg, validation_retries=2, fallback=False)
     declared = f"# key={key.to_string()}\n" + emit_bench(locked.netlist)
-    got, record = llm_obfuscate(MockTransport([declared]), c, cfg,
-                                exhaustive_key_width=8)
+    got, record = llm_obfuscate(MockTransport([declared]), c, cfg)
     assert got.correct_key == key
 
 
@@ -265,3 +263,53 @@ def test_obfuscate_reads_key_inputs_in_numeric_order():
     key = parse_key_file(emit_key_file(got.correct_key))
     assert key.to_string() == "0111"
     assert functional_verify(emitted, c, key).functional == "equivalent"
+
+
+# keys 00 and 11 both cancel out; 01 and 10 complement y
+TWIN_KEY_NAND = """INPUT(a)
+INPUT(b)
+INPUT(keyinput0)
+INPUT(keyinput1)
+OUTPUT(y)
+y_pre = NAND(a, b)
+y_mid = XOR(y_pre, keyinput0)
+y = XOR(y_mid, keyinput1)
+"""
+
+
+@pytest.mark.parametrize("declaration, want", [
+    ("", "00"),          # no declaration: the sweep's first equivalent key
+    ("# key=11\n", "11"),  # a correct declaration is tried first and wins
+    ("# key=01\n", "00"),  # a wrong declaration falls through to the sweep
+])
+def test_obfuscate_tries_declared_key_then_sweep(declaration, want):
+    original = parse_bench(NAND_BENCH, name="m")
+    cfg = LockConfig(key_size=2)
+    got, record = llm_obfuscate(MockTransport([declaration + TWIN_KEY_NAND]),
+                                original, cfg)
+    assert record.validation_outcomes == ("ok",)
+    assert got.correct_key.to_string() == want
+
+
+def test_obfuscate_validator_error_messages():
+    c = c17()
+
+    def outcome(cfg, answer):
+        with pytest.raises(ValidationFailed) as exc:
+            llm_obfuscate(MockTransport([answer]), c, cfg,
+                          validation_retries=0, fallback=False)
+        (line,) = exc.value.outcomes
+        return line
+
+    narrow = LockConfig(key_size=2, seed=5)
+    locked, key = lock(c, narrow)
+    broken = emit_bench(locked.netlist).replace("G22 = NAND", "G22 = AND")
+    assert "G22 = AND" in broken
+    assert "no key value makes the candidate match" in outcome(narrow, broken)
+
+    wide = LockConfig(key_size=9, seed=2)
+    locked, key = lock(c, wide)
+    text = emit_bench(locked.netlist)
+    assert "key width 9 > 8 requires a '# key=...' declaration" in outcome(wide, text)
+    wrong = f"# key={key.complemented().to_string()}\n" + text
+    assert "declared key does not reproduce" in outcome(wide, wrong)

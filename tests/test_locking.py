@@ -279,13 +279,9 @@ def test_lock_byte_determinism():
     assert a.ledger == b.ledger
 
 
-def test_lock_zero_key_debug_identity():
-    c = c17()
-    locked, key = lock(c, LockConfig(key_size=0, allow_empty_key=True))
-    assert locked.netlist.structurally_equal(c)
-    assert len(key) == 0
-    with pytest.raises(LockError):
-        lock(c, LockConfig(key_size=0))
+def test_lock_rejects_zero_key():
+    with pytest.raises(LockError, match="key_size must be >= 1"):
+        lock(c17(), LockConfig(key_size=0))
 
 
 def test_sat_hard_preset_expands():

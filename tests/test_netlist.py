@@ -1,6 +1,9 @@
 import itertools
+import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from benchlock.circuits import c17, random_netlist
 from benchlock.errors import StructuralError, UnknownNet
@@ -8,6 +11,7 @@ from benchlock.netlist import (
     Gate,
     GateKind,
     Netlist,
+    simulate_words,
     truth_tables,
     vector_assignment,
 )
@@ -131,6 +135,73 @@ def test_simulate_missing_input_names_the_pi():
     n = net([Gate("y", GateKind.NOT, ("a",))], ["a"], ["y"])
     with pytest.raises(UnknownNet, match="'a'"):
         n.simulate({})
+
+
+def test_simulate_rejects_non_bit_values():
+    n = net([Gate("y", GateKind.NOT, ("a",))], ["a"], ["y"])
+    for bad in (2, -1):
+        with pytest.raises(ValueError, match="'a'"):
+            n.simulate({"a": bad})
+
+
+# -- bit-parallel kernel -------------------------------------------------------------
+
+
+def _reference_values(netlist, vector):
+    """Every net's bit under one input vector, without the kernel."""
+    vals = dict(vector)
+    for gate in netlist.topo_order():
+        ins = [vals[i] for i in gate.inputs]
+        kind = gate.kind
+        if kind in (GateKind.AND, GateKind.NAND):
+            v = all(ins) ^ (kind is GateKind.NAND)
+        elif kind in (GateKind.OR, GateKind.NOR):
+            v = any(ins) ^ (kind is GateKind.NOR)
+        elif kind in (GateKind.XOR, GateKind.XNOR):
+            v = sum(ins) % 2 ^ (kind is GateKind.XNOR)
+        elif kind is GateKind.NOT:
+            v = not ins[0]
+        elif kind is GateKind.BUFF:
+            v = ins[0]
+        else:  # MUX(select, in0, in1)
+            v = ins[2] if ins[0] else ins[1]
+        vals[gate.output] = int(v)
+    return vals
+
+
+@settings(derandomize=True, deadline=None, max_examples=80, database=None)
+@given(
+    n_inputs=st.integers(1, 8),
+    n_gates=st.integers(1, 40),
+    circuit_seed=st.integers(0, 10_000),
+    with_mux=st.booleans(),
+    width=st.integers(1, 130),
+    word_seed=st.integers(0, 10_000),
+)
+def test_kernel_matches_reference_per_vector(
+    n_inputs, n_gates, circuit_seed, with_mux, width, word_seed
+):
+    n = random_netlist(n_inputs, n_gates, circuit_seed, with_mux=with_mux)
+    rng = random.Random(word_seed)
+    words = {pi: rng.getrandbits(width) for pi in n.primary_inputs}
+    got = simulate_words(n, words, width)
+    assert set(got) == set(n.nets)
+    for j in range(width):
+        want = _reference_values(n, {pi: (w >> j) & 1 for pi, w in words.items()})
+        for name, value in want.items():
+            assert (got[name] >> j) & 1 == value, (name, j)
+    for name, word in got.items():
+        assert 0 <= word < 1 << width, name
+
+
+def test_kernel_checks_inputs():
+    n = net([Gate("y", GateKind.AND, ("a", "b"))], ["a", "b"], ["y"])
+    with pytest.raises(UnknownNet, match="missing primary input 'b'"):
+        simulate_words(n, {"a": 0b1010}, 4)
+    with pytest.raises(ValueError, match="'b'"):
+        simulate_words(n, {"a": 0b1010, "b": 0b10000}, 4)
+    got = simulate_words(n, {"a": 0b1010, "b": 0b0110, "extra": 7}, 4)
+    assert got == {"a": 0b1010, "b": 0b0110, "y": 0b0010}
 
 
 def test_simulate_deterministic_across_gate_orders():
