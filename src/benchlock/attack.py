@@ -2,15 +2,17 @@
 and output-corruption measurement.
 
 The attack builds a miter of two copies of the locked circuit sharing the
-primary inputs but holding independent key variable sets. While the miter
-is satisfiable, the model yields a distinguishing input pattern (DIP). The
-oracle's response is pinned onto each key set by one copy of the circuit
-cofactored by the DIP: constants folded, so only gates that depend on the
-key are encoded. One incremental solver serves the whole run; the miter's
-activator variable is assumed true to search DIPs and false to extract a
-key. When no DIP remains, any key satisfying the accumulated I/O
-constraints is functionally correct; one is extracted and verified against
-the oracle netlist before being returned.
+primary inputs but holding independent key variable sets. The encoder
+hash-conses gates, so the copies share every gate that does not depend on
+the key, and only outputs the key can reach get a difference variable.
+While the miter is satisfiable, the model yields a distinguishing input
+pattern (DIP). The oracle's response is pinned onto each key set by one
+copy of the circuit cofactored by the DIP: constants folded, so only gates
+that depend on the key are encoded. One incremental solver serves the
+whole run; the miter's activator variable is assumed true to search DIPs
+and false to extract a key. When no DIP remains, any key satisfying the
+accumulated I/O constraints is functionally correct; one is extracted and
+verified against the oracle netlist before being returned.
 """
 
 from __future__ import annotations
@@ -20,10 +22,10 @@ import time
 from dataclasses import dataclass, field
 from typing import Iterable
 
-from .cnf import CnfFormula, encode_into
+from .cnf import CnfFormula, encode_gate, encode_into
 from .errors import AttackError, InterfaceError, SolverTimeout, StatError
 from .locking import KEY_PREFIX, Key, LockedNetlist, apply_key, resolve_key_inputs
-from .netlist import Netlist, cofactor, simulate_words
+from .netlist import GateKind, Netlist, cofactor, simulate_words
 from .solver import SatOutcome, Solver, SolverStats, solve
 
 DEFAULT_TIMEOUT_MS = 300_000
@@ -41,6 +43,14 @@ class Oracle:
         self.queries += 1
         return self.netlist.simulate(assignment)
 
+    def batch(self, words: dict[str, int], width: int) -> dict[str, int]:
+        """Answer ``width`` vectors packed one per bit (bit j of
+        ``words[pi]`` is vector j) in one bit-parallel simulation; each
+        vector counts as one query. Returns the output words."""
+        self.queries += width
+        got = simulate_words(self.netlist, words, width)
+        return {po: got[po] for po in self.netlist.primary_outputs}
+
 
 @dataclass
 class MiterContext:
@@ -57,8 +67,10 @@ def _miter(
     a: Netlist, b: Netlist, shared_pis: Iterable[str], outputs: Iterable[str]
 ) -> tuple[CnfFormula, dict[str, int], dict[str, int], list[int]]:
     """Copies of ``a`` and ``b`` in one formula, the second reading the
-    first's variables for ``shared_pis``, plus one variable per output
-    that is true exactly when the two copies disagree on it.
+    first's variables for ``shared_pis``, plus a variable that is true
+    exactly when the copies disagree, for each output the copies compute
+    on different variables. The encoder shares every gate the copies have
+    in common, so an output on one variable cannot differ.
 
     Returns (formula, net map of a, net map of b, difference variables
     in ``outputs`` order).
@@ -68,13 +80,10 @@ def _miter(
     map_b = encode_into(cnf, b, {pi: map_a[pi] for pi in shared_pis})
     diff_vars = []
     for po in outputs:
-        d = cnf.new_var()
         va, vb = map_a[po], map_b[po]
-        cnf.add(-d, va, vb)
-        cnf.add(-d, -va, -vb)
-        cnf.add(d, -va, vb)
-        cnf.add(d, va, -vb)
-        diff_vars.append(d)
+        if va != vb:
+            diff_vars.append(cnf.new_var())
+            encode_gate(cnf, GateKind.XOR, diff_vars[-1], [va, vb])
     return cnf, map_a, map_b, diff_vars
 
 
@@ -142,6 +151,7 @@ def _pin_dip(
     Each key set gets one copy of ``netlist`` cofactored by the DIP.
     Constant nets that the copy still reads become unit-fixed variables; a
     constant output that contradicts the oracle becomes an empty clause.
+    Gates that read only key variables are shared with the miter.
     """
     gates, const = cofactor(netlist, dip)
     read = {i for g in gates for i in g.inputs}
@@ -265,8 +275,10 @@ def equivalence_check(
 ) -> EquivalenceResult:
     """SAT-miter equivalence of two circuits with the same port names.
 
-    A sat miter yields a counterexample, which is re-validated by
-    simulation before being reported.
+    When every output pair shares one variable, the "some output differs"
+    clause is empty and the proof ends at load time. A sat miter yields a
+    counterexample, which is re-validated by simulation before being
+    reported.
     """
     a_pis, b_pis = set(a.primary_inputs), set(b.primary_inputs)
     if a_pis != b_pis:
@@ -323,9 +335,9 @@ def corruption_stats(
     corruption_rate is the fraction of (wrong key, input) pairs whose
     outputs differ anywhere from the oracle; mean_output_hamming averages
     the number of differing outputs over all pairs. Deterministic for a
-    fixed seed. The oracle answers each sampled input once; the locked
-    netlist is simulated once per wrong key, with the inputs packed one
-    per bit.
+    fixed seed. The sampled inputs are packed one per bit: the oracle
+    answers them in one batch (one query per input), and the locked
+    netlist is simulated once per wrong key.
     """
     netlist, key_inputs = resolve_key_inputs(locked, key_prefix=key_prefix)
     width = len(key_inputs)
@@ -352,13 +364,10 @@ def corruption_stats(
     vectors = [
         {pi: rng.getrandbits(1) for pi in real_pis} for _ in range(inputs)
     ]
-    golden = [oracle(x) for x in vectors]
-
-    def pack(samples: list[dict[str, int]], names: Iterable[str]) -> dict[str, int]:
-        return {n: sum(s[n] << j for j, s in enumerate(samples)) for n in names}
-
-    words = pack(vectors, real_pis)
-    want = pack(golden, golden[0])
+    words = {
+        pi: sum(x[pi] << j for j, x in enumerate(vectors)) for pi in real_pis
+    }
+    want = oracle.batch(words, inputs)
     ones = (1 << inputs) - 1
     corrupted = 0
     hamming_total = 0

@@ -1,10 +1,12 @@
 """Tseitin encoding of netlists to CNF, plus DIMACS import/export and a
 bit-parallel brute-force oracle for small formulas.
 
-Literals are signed 1-based variable indices (DIMACS convention). Each
-encoded circuit copy gets one variable per net — PIs first in port order,
-then gate outputs in gate order — with auxiliary variables for n-ary
-XOR/XNOR chains appended after the net variables.
+Literals are signed 1-based variable indices (DIMACS convention).
+Encoding hash-conses gates within one formula: a BUFF's output aliases its
+input's variable, and a gate whose kind and input variables match one
+already encoded into the formula reuses that gate's variable and adds no
+clauses. Variables are numbered in topological order; an n-ary XOR/XNOR
+chain's auxiliaries follow its gate's variable.
 """
 
 from __future__ import annotations
@@ -22,6 +24,10 @@ VarMap = dict  # net name -> variable index, one circuit copy
 class CnfFormula:
     var_count: int = 0
     clauses: list[list[int]] = field(default_factory=list)
+    # (kind, input variables...) -> output variable of each encoded gate
+    _gates: dict[tuple, int] = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
 
     def new_var(self) -> int:
         self.var_count += 1
@@ -93,25 +99,36 @@ def encode_into(
 ) -> VarMap:
     """Append a Tseitin copy of ``netlist`` to ``cnf``.
 
-    Nets listed in ``shared`` reuse the given variables instead of fresh
-    ones (used to tie PI or key variables across circuit copies). Returns
-    the net -> variable map of this copy.
+    Primary inputs listed in ``shared`` reuse the given variables instead
+    of fresh ones (used to tie PI or key variables across circuit copies).
+    Gates are walked in topological order; a BUFF aliases its input's
+    variable, and a gate identical in kind and input variables to one
+    already in ``cnf`` shares its variable, so a second copy adds only
+    the gates that read something the first does not. Returns the
+    net -> variable map of this copy.
     """
     shared = shared or {}
-    varmap: VarMap = {}
-    for pi in netlist.primary_inputs:
-        varmap[pi] = shared.get(pi) or cnf.new_var()
-    for gate in netlist.gates:
-        varmap[gate.output] = shared.get(gate.output) or cnf.new_var()
-    for gate in netlist.gates:
-        encode_gate(
-            cnf, gate.kind, varmap[gate.output], [varmap[i] for i in gate.inputs]
-        )
+    varmap: VarMap = {
+        pi: shared.get(pi) or cnf.new_var() for pi in netlist.primary_inputs
+    }
+    for gate in netlist.topo_order():
+        ins = [varmap[i] for i in gate.inputs]
+        if gate.kind is GateKind.BUFF:
+            varmap[gate.output] = ins[0]
+            continue
+        key = (gate.kind, *ins)
+        y = cnf._gates.get(key)
+        if y is None:
+            y = cnf._gates[key] = cnf.new_var()
+            encode_gate(cnf, gate.kind, y, ins)
+        varmap[gate.output] = y
     return varmap
 
 
 def tseitin(netlist: Netlist) -> tuple[CnfFormula, VarMap]:
-    """Encode a valid netlist: one variable per net plus XOR-chain auxiliaries."""
+    """Encode a valid netlist: BUFFs alias their input, identical gates
+    share a variable, numbering follows topological order, and n-ary
+    XOR/XNOR chains add auxiliaries."""
     diags = netlist.validate()
     if diags:
         raise StructuralError(diags)

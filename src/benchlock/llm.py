@@ -432,10 +432,11 @@ def llm_obfuscate(
         declared = _declared_key(clean, k)
         trials = [] if declared is None else [declared]
         if k <= EXHAUSTIVE_KEY_WIDTH:
-            trials += [
+            sweep = (
                 Key(tuple((value >> i) & 1 for i in range(k)))
                 for value in range(1 << k)
-            ]
+            )
+            trials += [trial for trial in sweep if trial != declared]
         elif declared is None:
             raise InterfaceError(
                 f"key width {k} > {EXHAUSTIVE_KEY_WIDTH} requires a "

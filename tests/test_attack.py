@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from benchlock.attack import (
     Oracle,
+    _miter,
     build_miter,
     corruption_stats,
     equivalence_check,
@@ -17,6 +18,8 @@ from benchlock.attack import (
 from benchlock.circuits import c17, c432_scale, parallel_cones, random_netlist
 from benchlock.errors import AttackError, InterfaceError, StatError
 from benchlock.locking import (
+    DUMMY_POLICIES,
+    KEYGATE_POLICIES,
     Key,
     LockConfig,
     apply_key,
@@ -24,7 +27,7 @@ from benchlock.locking import (
     lock,
     resolve_key_inputs,
 )
-from benchlock.netlist import Gate, GateKind, Netlist
+from benchlock.netlist import Gate, GateKind, Netlist, truth_tables
 from benchlock.solver import solve
 
 
@@ -36,13 +39,17 @@ def and_gate():
 
 
 def test_miter_variable_arithmetic():
+    # copy B shares copy A's PIs and every gate that does not read the key:
+    # y_pre = AND(a, b) is encoded once, so copy B adds only its own
+    # keyinput0 and y
     locked = insert_xor_keygates(and_gate(), ["y"], (0,))
     m = build_miter(locked)
     n = locked.netlist
-    nets = len(n.nets)  # 5: a, b, keyinput0, y_pre, y
-    shared = 2  # a, b shared between copies
-    aux = len(n.primary_outputs) + 1  # one diff var per PO plus the activator
-    assert m.cnf.var_count == nets + (nets - shared) + aux
+    copy_a = len(n.nets)  # 5: a, b, keyinput0, y_pre, y
+    copy_b = 2  # keyinput0, y
+    aux = 1 + 1  # one difference variable (for y) plus the activator
+    assert len(m.diff_vars) == 1
+    assert m.cnf.var_count == copy_a + copy_b + aux == 9
 
 
 def test_miter_requires_key_inputs():
@@ -234,6 +241,45 @@ def test_equivalence_applied_lock(adder):
     assert equivalence_check(apply_key(locked, key), adder).equivalent
 
 
+@settings(derandomize=True, deadline=None, max_examples=60, database=None)
+@given(
+    circuit_seed=st.integers(0, 10_000),
+    n_inputs=st.integers(2, 10),
+    n_gates=st.integers(8, 40),
+    with_mux=st.booleans(),
+    key_size=st.integers(1, 5),
+    policy=st.sampled_from(KEYGATE_POLICIES),
+    dummy=st.sampled_from(DUMMY_POLICIES),
+    lock_seed=st.integers(0, 10_000),
+    wrong=st.lists(st.integers(0, (1 << 5) - 1), min_size=1, max_size=3),
+)
+def test_hashed_miter_agrees_with_truth_tables(
+    circuit_seed, n_inputs, n_gates, with_mux, key_size, policy, dummy,
+    lock_seed, wrong,
+):
+    # the encoder shares identical gates and aliases BUFFs; the verdict must
+    # still be the exhaustive one, for the right key and for arbitrary keys
+    n = random_netlist(n_inputs, n_gates, circuit_seed, with_mux=with_mux)
+    locked, key = lock(n, LockConfig(key_size=key_size, keygate_policy=policy,
+                                     dummy_policy=dummy, seed=lock_seed))
+    right = apply_key(locked, key)
+    *_, diff = _miter(right, n, n.primary_inputs, sorted(n.primary_outputs))
+    assert diff == []  # the right key leaves only BUFFs where key gates were
+    keys = [key] + [
+        Key(tuple((value >> i) & 1 for i in range(key_size))) for value in wrong
+    ]
+    want = truth_tables(n)
+    for trial in keys:
+        applied = apply_key(locked, trial)
+        got = truth_tables(applied, n.primary_inputs)
+        same = all(got[po] == want[po] for po in n.primary_outputs)
+        res = equivalence_check(applied, n)
+        assert res.equivalent == same, trial
+        if not same:
+            x = res.counterexample
+            assert applied.simulate(x) != n.simulate(x)
+
+
 # -- corruption ------------------------------------------------------------------------------
 
 
@@ -283,6 +329,24 @@ def test_corruption_pinned_goldens(circuit, config, samples, want):
     assert (stats.corruption_rate, stats.mean_output_hamming) == want
     assert (stats.wrong_keys, stats.inputs, stats.seed) == samples
     assert oracle.queries == inputs
+
+
+def test_corruption_asks_the_oracle_once():
+    class BatchOnly(Oracle):
+        batches = 0
+
+        def __call__(self, assignment):
+            raise AssertionError("corruption_stats queried one vector")
+
+        def batch(self, words, width):
+            self.batches += 1
+            return super().batch(words, width)
+
+    c = c17()
+    locked, key = lock(c, LockConfig(key_size=4, seed=42))
+    oracle = BatchOnly(c)
+    corruption_stats(locked, oracle, key, wrong_keys=7, inputs=33, seed=1)
+    assert (oracle.batches, oracle.queries) == (1, 33)
 
 
 def _corruption_per_pair(locked, oracle_netlist, correct_key, wrong_keys, inputs,

@@ -54,6 +54,33 @@ def test_models_match_simulation(seed):
             assert outcome.model[var] == vals[net], (net, j)
 
 
+def test_identical_gates_and_buff_chains_share_variables():
+    # g3 and w read the same variables as g1 and z but are other kinds
+    n = Netlist("t", ["a", "b", "c"], ["y", "z", "w"], [
+        Gate("g1", GateKind.AND, ("a", "b")),
+        Gate("g2", GateKind.AND, ("a", "b")),
+        Gate("g3", GateKind.NAND, ("a", "b")),
+        Gate("b1", GateKind.BUFF, ("g2",)),
+        Gate("b2", GateKind.BUFF, ("b1",)),
+        Gate("y", GateKind.XOR, ("g1", "g3")),
+        Gate("z", GateKind.NOR, ("b2", "c")),
+        Gate("w", GateKind.OR, ("g1", "c")),
+    ])
+    cnf, varmap = tseitin(n)
+    assert varmap["g1"] == varmap["g2"] == varmap["b1"] == varmap["b2"]
+    assert [varmap[net] for net in ("a", "b", "c")] == [1, 2, 3]
+    assert cnf.var_count == 8  # a, b, c, the one AND, g3, y, z, w
+    assert len(cnf.clauses) == 3 + 3 + 4 + 3 + 3  # AND NAND XOR NOR OR, once each
+    for j in range(1 << 3):
+        x = vector_assignment(n.primary_inputs, j)
+        assumptions = [varmap[pi] if bit else -varmap[pi] for pi, bit in x.items()]
+        outcome = solve(cnf, assumptions=assumptions)
+        assert outcome.status == "sat"
+        vals = n.net_values(x)
+        for net, var in varmap.items():
+            assert outcome.model[var] == vals[net], (net, j)
+
+
 def test_cnf_satisfiable_for_every_pi_assignment():
     n = random_netlist(3, 5, seed=77)
     cnf, varmap = tseitin(n)

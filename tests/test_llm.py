@@ -291,6 +291,26 @@ def test_obfuscate_tries_declared_key_then_sweep(declaration, want):
     assert got.correct_key.to_string() == want
 
 
+def test_obfuscate_sweep_skips_the_declared_key(monkeypatch):
+    import benchlock.llm as llm
+
+    c = c17()
+    cfg = LockConfig(key_size=3, keygate_policy="xor_only", seed=5)
+    locked = insert_xor_keygates(c, select_nets(c, "random", 3, seed=3), (1, 1, 1))
+    tried = []
+
+    def spy(candidate, original, key, *args, **kwargs):
+        tried.append("".join(map(str, key)))
+        return functional_verify(candidate, original, key, *args, **kwargs)
+
+    monkeypatch.setattr(llm, "functional_verify", spy)
+    answer = "# key=000\n" + emit_bench(locked.netlist)
+    got, record = llm_obfuscate(MockTransport([answer]), c, cfg)
+    assert record.validation_outcomes == ("ok",)
+    assert got.correct_key.to_string() == "111"
+    assert tried == ["000", "100", "010", "110", "001", "101", "011", "111"]
+
+
 def test_obfuscate_validator_error_messages():
     c = c17()
 

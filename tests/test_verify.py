@@ -1,8 +1,9 @@
 import pytest
 
-from benchlock.circuits import c17, c432_scale, parallel_cones
+from benchlock.attack import _miter
+from benchlock.circuits import c17, c432_scale, parallel_cones, random_netlist
 from benchlock.errors import LockError
-from benchlock.locking import Key, LockConfig, insert_xor_keygates, lock
+from benchlock.locking import Key, LockConfig, apply_key, insert_xor_keygates, lock
 from benchlock.netlist import Netlist
 from benchlock.verify import functional_verify, structural_check
 
@@ -107,3 +108,25 @@ def test_structural_failure_skips_functional():
     assert not verdict.structural_ok
     assert verdict.functional == "skipped"
     assert verdict.skip_reason == "structural check failed"
+
+
+@pytest.mark.parametrize("policy", ["xor_only", "mixed"])
+def test_sat_verify_of_large_lock_needs_no_search(policy):
+    # the correct key leaves BUFFs where the key gates were, so the hashed
+    # miter collapses every output and the proof ends at load time
+    original = random_netlist(32, 2000, 11)
+    locked, key = lock(original, LockConfig(key_size=64, keygate_policy=policy,
+                                            selection="random", seed=1))
+    outputs = sorted(original.primary_outputs)
+    *_, diff = _miter(apply_key(locked, key), original,
+                      original.primary_inputs, outputs)
+    assert diff == []
+    assert functional_verify(locked, original, key, mode="sat").functional == (
+        "equivalent"
+    )
+
+    wrong = Key((1 - key[0],) + key.bits[1:])
+    verdict = functional_verify(locked, original, wrong, mode="sat")
+    assert verdict.functional == "mismatch"
+    x = verdict.counterexample
+    assert apply_key(locked, wrong).simulate(x) != original.simulate(x)
