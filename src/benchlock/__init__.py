@@ -28,6 +28,7 @@ from .locking import (
     insert_xor_keygates,
     lock,
     parse_key_file,
+    resolve_key_inputs,
     select_nets,
 )
 from .netlist import Gate, GateKind, Netlist, truth_tables
@@ -73,6 +74,7 @@ __all__ = [
     "parse_dimacs_model",
     "parse_key_file",
     "parse_verilog_subset",
+    "resolve_key_inputs",
     "sat_attack",
     "scoap",
     "select_nets",

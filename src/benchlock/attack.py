@@ -24,7 +24,7 @@ from typing import Iterable
 
 from .cnf import CnfFormula, encode_gate, encode_into
 from .errors import AttackError, InterfaceError, SolverTimeout, StatError
-from .locking import KEY_PREFIX, Key, LockedNetlist, apply_key, resolve_key_inputs
+from .locking import Key, LockedNetlist, apply_key, resolve_key_inputs
 from .netlist import GateKind, Netlist, cofactor, simulate_words
 from .solver import SatOutcome, Solver, SolverStats, solve
 
@@ -60,7 +60,7 @@ class MiterContext:
     key_vars_b: dict[str, int]
     diff_vars: list[int]
     activator: int  # assume +activator to search DIPs, -activator to extract keys
-    key_inputs: list[str]
+    key_inputs: tuple[str, ...]
 
 
 def _miter(
@@ -87,12 +87,11 @@ def _miter(
     return cnf, map_a, map_b, diff_vars
 
 
-def build_miter(
-    locked: LockedNetlist | Netlist, key_prefix: str = KEY_PREFIX
-) -> MiterContext:
+def build_miter(locked: LockedNetlist | Netlist) -> MiterContext:
     """Two Tseitin copies sharing PIs, independent keys, and an activatable
     difference constraint (at least one output pair differs)."""
-    netlist, key_inputs = resolve_key_inputs(locked, key_prefix=key_prefix)
+    locked = resolve_key_inputs(locked)
+    netlist, key_inputs = locked.netlist, locked.key_inputs
     if not key_inputs:
         raise AttackError("netlist has no key inputs; nothing to attack")
     keyset = set(key_inputs)
@@ -175,7 +174,6 @@ def sat_attack(
     oracle: Oracle,
     timeout_ms: float | None = DEFAULT_TIMEOUT_MS,
     iteration_cap: int | None = None,
-    key_prefix: str = KEY_PREFIX,
 ) -> AttackResult:
     """Run the DIP loop until the key space is resolved.
 
@@ -187,8 +185,9 @@ def sat_attack(
     result carrying the DIP trace so far.
     """
     t0 = time.monotonic()
-    netlist, _ = resolve_key_inputs(locked, key_prefix=key_prefix)
-    miter = build_miter(locked, key_prefix)
+    locked = resolve_key_inputs(locked)
+    netlist = locked.netlist
+    miter = build_miter(locked)
     if iteration_cap is None:
         iteration_cap = 1 << min(len(miter.key_inputs), 20)
 
@@ -251,7 +250,7 @@ def sat_attack(
         tuple(final.model[miter.key_vars_a[k]] for k in miter.key_inputs)
     )
 
-    unlocked = apply_key(netlist, key, key_inputs=miter.key_inputs)
+    unlocked = apply_key(locked, key)
     try:
         check = equivalence_check(unlocked, oracle.netlist, timeout_ms=remaining())
     except SolverTimeout:
@@ -328,7 +327,6 @@ def corruption_stats(
     wrong_keys: int = 100,
     inputs: int = 100,
     seed: int = 0,
-    key_prefix: str = KEY_PREFIX,
 ) -> CorruptionStats:
     """Sampled wrong-key output corruption.
 
@@ -339,7 +337,8 @@ def corruption_stats(
     answers them in one batch (one query per input), and the locked
     netlist is simulated once per wrong key.
     """
-    netlist, key_inputs = resolve_key_inputs(locked, key_prefix=key_prefix)
+    locked = resolve_key_inputs(locked)
+    netlist, key_inputs = locked.netlist, locked.key_inputs
     width = len(key_inputs)
     if width == 0:
         raise StatError("no key inputs: wrong keys do not exist")

@@ -36,10 +36,17 @@ from .errors import (
     UnsupportedConstruct,
     ValidationFailed,
 )
-from .locking import LockConfig, emit_key_file, lock, parse_key_file
+from .locking import (
+    LockConfig,
+    LockedNetlist,
+    emit_key_file,
+    lock,
+    parse_key_file,
+    resolve_key_inputs,
+)
 from .netlist import Netlist
 from .report import finish_report, new_report, report_json
-from .verify import functional_verify, structural_check
+from .verify import functional_verify
 from .verilog import parse_verilog_subset
 
 _USAGE_ERRORS = (
@@ -83,6 +90,11 @@ def _read_netlist(path: str) -> Netlist:
     if p.suffix == ".v":
         return parse_verilog_subset(text, name=p.stem)
     return parse_bench(text, name=p.stem)
+
+
+def _read_locked(args: argparse.Namespace) -> LockedNetlist:
+    """The --locked file, its key inputs found by --key-prefix."""
+    return resolve_key_inputs(_read_netlist(args.locked), args.key_prefix)
 
 
 def _lock_config(args: argparse.Namespace) -> LockConfig:
@@ -227,7 +239,7 @@ def _cmd_lock(args) -> int:
 
 
 def _cmd_attack(args) -> int:
-    locked = _read_netlist(args.locked)
+    locked = _read_locked(args)
     original = _read_netlist(args.oracle)
     oracle = Oracle(original)
     result = sat_attack(
@@ -235,12 +247,11 @@ def _cmd_attack(args) -> int:
         oracle,
         timeout_ms=args.timeout_ms,
         iteration_cap=args.iteration_cap,
-        key_prefix=args.key_prefix,
     )
     if args.report:
         report = new_report(circuit=original.name)
         report["stats_before"] = original.stats().as_dict()
-        report["stats_after"] = locked.stats().as_dict()
+        report["stats_after"] = locked.netlist.stats().as_dict()
         report["attack"] = result.as_dict()
         Path(args.report).write_text(report_json(finish_report(report)),
                                      encoding="utf-8")
@@ -253,12 +264,10 @@ def _cmd_attack(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    locked = _read_netlist(args.locked)
+    locked = _read_locked(args)
     original = _read_netlist(args.original)
     key = parse_key_file(Path(args.key).read_text(encoding="utf-8"))
-    verdict = functional_verify(
-        locked, original, key, mode=args.mode, key_prefix=args.key_prefix
-    )
+    verdict = functional_verify(locked, original, key, mode=args.mode)
     for diag in verdict.structural_diagnostics:
         print(f"structural: {diag}")
     print(f"structural: {'ok' if verdict.structural_ok else 'FAILED'}")
@@ -269,7 +278,7 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_corrupt(args) -> int:
-    locked = _read_netlist(args.locked)
+    locked = _read_locked(args)
     original = _read_netlist(args.original)
     key = parse_key_file(Path(args.key).read_text(encoding="utf-8"))
     stats = corruption_stats(
@@ -279,7 +288,6 @@ def _cmd_corrupt(args) -> int:
         wrong_keys=args.wrong_keys,
         inputs=args.inputs,
         seed=args.seed,
-        key_prefix=args.key_prefix,
     )
     print(json.dumps(stats.as_dict(), indent=2, sort_keys=True))
     return 0
@@ -350,10 +358,11 @@ def _pipeline_one(
 
     locked, key = lock(netlist, config)
     report["stats_after"] = locked.netlist.stats().as_dict()
-    diags = structural_check(locked, netlist)
-    report["structural"] = {"ok": not diags, "diagnostics": diags}
-
     verdict = functional_verify(locked, netlist, key)
+    report["structural"] = {
+        "ok": verdict.structural_ok,
+        "diagnostics": list(verdict.structural_diagnostics),
+    }
     report["functional"] = verdict.as_dict()
 
     result = sat_attack(
@@ -361,7 +370,6 @@ def _pipeline_one(
         Oracle(netlist),
         timeout_ms=args.timeout_ms,
         iteration_cap=args.iteration_cap,
-        key_prefix=args.key_prefix,
     )
     report["attack"] = result.as_dict()
 

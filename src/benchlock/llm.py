@@ -12,7 +12,7 @@ import importlib.resources
 import http.client
 import json
 import urllib.request
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Protocol, Sequence
 
 from .attack import equivalence_check
@@ -180,13 +180,13 @@ def render_convert_prompt(verilog_text: str) -> tuple[ChatMessage, ...]:
 
 def render_obfuscate_prompt(
     bench_text: str,
-    key_size: int,
-    keygate_kinds: Sequence[str] = ("XOR", "XNOR"),
+    config: LockConfig,
     strategy_hints: Sequence[str] = (),
 ) -> tuple[ChatMessage, ...]:
-    """Obfuscation prompt: bench text, key width, gate kinds, strategy hints."""
-    if key_size < 1:
-        raise ValueError("key_size must be >= 1")
+    """Obfuscation prompt: bench text, strategy hints, and the key width,
+    key-gate kinds and key-input names of ``config``."""
+    cfg = config.normalized()
+    kinds = "XOR/XNOR" if cfg.keygate_policy == "xor_only" else "XOR/XNOR/MUX"
     unknown = [h for h in strategy_hints if h not in STRATEGY_HINTS]
     if unknown:
         raise ValueError(f"unknown strategy hints: {unknown}")
@@ -194,10 +194,11 @@ def render_obfuscate_prompt(
     if strategies:
         strategies += "\n"
     body = _template("obfuscate_v1").format(
-        key_size=key_size,
-        last_index=key_size - 1,
-        kinds="/".join(keygate_kinds),
-        key_pattern="<the {} correct key bits, keyinput0 first>".format(key_size),
+        key_size=cfg.key_size,
+        prefix=cfg.key_prefix,
+        last_index=cfg.key_size - 1,
+        kinds=kinds,
+        key_pattern=f"<the {cfg.key_size} correct key bits, {cfg.key_prefix}0 first>",
         strategies=strategies,
         bench=bench_text.rstrip(),
     )
@@ -208,11 +209,15 @@ def render_obfuscate_prompt(
 
 
 def looks_truncated(text: str, finish_reason: str | None = None) -> bool:
-    """Heuristic: transport said 'length', or the final line is not a
-    syntactically complete .bench line (unbalanced parens, dangling '=')."""
+    """Heuristic: transport said 'length', or the final line that is not a
+    ``#`` comment is not a syntactically complete .bench line (unbalanced
+    parens, dangling '=')."""
     if finish_reason == "length":
         return True
-    lines = [ln for ln in text.splitlines() if ln.strip()]
+    lines = [
+        ln for ln in text.splitlines()
+        if ln.strip() and not ln.lstrip().startswith("#")
+    ]
     if not lines:
         return False
     last = lines[-1].strip()
@@ -421,11 +426,12 @@ def llm_obfuscate(
 
     def validator(text: str) -> LockedNetlist:
         clean = _strip_fences(text)
-        candidate = parse_bench(clean, name=netlist.name)
-        _, key_inputs = resolve_key_inputs(candidate, key_prefix=cfg.key_prefix)
-        diags = structural_check(candidate, netlist, key_inputs, cfg.key_prefix)
-        if len(key_inputs) != k:
-            diags.append(f"expected {k} key inputs, found {len(key_inputs)}")
+        candidate = resolve_key_inputs(
+            parse_bench(clean, name=netlist.name), cfg.key_prefix
+        )
+        diags = structural_check(candidate, netlist)
+        if candidate.key_size != k:
+            diags.append(f"expected {k} key inputs, found {candidate.key_size}")
         if diags:
             raise InterfaceError("; ".join(diags))
 
@@ -444,8 +450,7 @@ def llm_obfuscate(
             )
         correct = next((
             trial for trial in trials
-            if functional_verify(candidate, netlist, trial, "auto",
-                                 key_inputs).functional == "equivalent"
+            if functional_verify(candidate, netlist, trial).functional == "equivalent"
         ), None)
         if correct is None:
             raise InterfaceError(
@@ -457,16 +462,9 @@ def llm_obfuscate(
             LockRecord(i, "(llm)", "(llm)", False, "(llm)")
             for i in range(k)
         )
-        return LockedNetlist(candidate, tuple(key_inputs), correct, ledger)
+        return replace(candidate, correct_key=correct, ledger=ledger)
 
-    transcript = render_obfuscate_prompt(
-        bench_text,
-        k,
-        keygate_kinds=("XOR", "XNOR")
-        if cfg.keygate_policy == "xor_only"
-        else ("XOR", "XNOR", "MUX"),
-        strategy_hints=strategy_hints,
-    )
+    transcript = render_obfuscate_prompt(bench_text, cfg, strategy_hints)
     base = {"temperature": 0, **(params or {})}
     try:
         locked, history, cont, outcomes = _run_validated(

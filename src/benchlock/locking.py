@@ -89,10 +89,13 @@ class LockRecord:
 
 @dataclass(frozen=True)
 class LockedNetlist:
+    """A netlist and its key inputs, bit i's input at index i. A locked
+    file read back from disk has no known correct key and no ledger."""
+
     netlist: Netlist
     key_inputs: tuple[str, ...]
-    correct_key: Key
-    ledger: tuple[LockRecord, ...]
+    correct_key: Key | None = None
+    ledger: tuple[LockRecord, ...] = ()
 
     @property
     def key_size(self) -> int:
@@ -494,8 +497,6 @@ def lock(netlist: Netlist, config: LockConfig) -> tuple[LockedNetlist, Key]:
 def apply_key(
     locked: LockedNetlist | Netlist,
     key: Key | tuple[int, ...],
-    key_inputs: list[str] | None = None,
-    key_prefix: str = KEY_PREFIX,
 ) -> Netlist:
     """Substitute key constants, simplify with ``cofactor`` and restore the
     original PI/PO interface.
@@ -504,7 +505,8 @@ def apply_key(
     re-expressed inside the gate alphabet as XOR(x,x) / XNOR(x,x) over the
     first primary input.
     """
-    netlist, names = resolve_key_inputs(locked, key_inputs, key_prefix)
+    locked = resolve_key_inputs(locked)
+    netlist, names = locked.netlist, locked.key_inputs
     bits = tuple(key)
     if len(bits) != len(names):
         raise LockError(
@@ -548,20 +550,18 @@ def detect_key_inputs(netlist: Netlist, prefix: str = KEY_PREFIX) -> list[str]:
 
 
 def resolve_key_inputs(
-    locked: LockedNetlist | Netlist,
-    key_inputs: list[str] | None = None,
-    key_prefix: str = KEY_PREFIX,
-) -> tuple[Netlist, list[str]]:
-    """The netlist to work on and its key inputs, bit i's input at index i.
+    locked: LockedNetlist | Netlist, key_prefix: str = KEY_PREFIX
+) -> LockedNetlist:
+    """The one place a naming convention becomes key inputs.
 
-    A LockedNetlist carries its own key inputs. For a plain Netlist,
-    explicit ``key_inputs`` win; otherwise ``detect_key_inputs`` applies.
+    A LockedNetlist carries its own key inputs and comes back unchanged.
+    A plain Netlist gets the key inputs ``detect_key_inputs`` finds by
+    ``key_prefix``. Every function that takes either resolves it here with
+    the default prefix; to use another, resolve the netlist first.
     """
     if isinstance(locked, LockedNetlist):
-        return locked.netlist, list(locked.key_inputs)
-    if key_inputs is None:
-        return locked, detect_key_inputs(locked, key_prefix)
-    return locked, list(key_inputs)
+        return locked
+    return LockedNetlist(locked, tuple(detect_key_inputs(locked, key_prefix)))
 
 
 # -- key files ------------------------------------------------------------------

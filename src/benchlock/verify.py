@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 from .attack import equivalence_check
 from .errors import LockError
-from .locking import KEY_PREFIX, Key, LockedNetlist, apply_key, resolve_key_inputs
+from .locking import Key, LockedNetlist, apply_key, resolve_key_inputs
 from .netlist import EXHAUSTIVE_PI_LIMIT, Netlist, truth_tables, vector_assignment
 
 AUTO_EXHAUSTIVE_LIMIT = 16  # <= 65,536 vectors stays exhaustive in auto mode
@@ -38,14 +38,10 @@ class Verdict:
         }
 
 
-def structural_check(
-    locked: LockedNetlist | Netlist,
-    original: Netlist,
-    key_inputs: list[str] | None = None,
-    key_prefix: str = KEY_PREFIX,
-) -> list[str]:
+def structural_check(locked: LockedNetlist | Netlist, original: Netlist) -> list[str]:
     """Interface diagnostics; empty list means the shape is right."""
-    netlist, keys = resolve_key_inputs(locked, key_inputs, key_prefix)
+    locked = resolve_key_inputs(locked)
+    netlist, keys = locked.netlist, locked.key_inputs
     diags: list[str] = []
 
     expected = len(original.primary_inputs) + len(keys)
@@ -59,9 +55,6 @@ def structural_check(
         diags.append(
             f"original primary inputs missing: {', '.join(sorted(missing_pi))}"
         )
-    for k in keys:
-        if not k.startswith(key_prefix):
-            diags.append(f"key input '{k}' lacks the '{key_prefix}' prefix")
 
     locked_pos, orig_pos = set(netlist.primary_outputs), set(original.primary_outputs)
     for po in sorted(orig_pos - locked_pos):
@@ -76,8 +69,6 @@ def functional_verify(
     original: Netlist,
     key: Key | tuple[int, ...],
     mode: str = "auto",
-    key_inputs: list[str] | None = None,
-    key_prefix: str = KEY_PREFIX,
 ) -> Verdict:
     """Check that the locked design under ``key`` matches the original.
 
@@ -87,14 +78,14 @@ def functional_verify(
     """
     if mode not in ("auto", "exhaustive", "sat"):
         raise ValueError(f"unknown verify mode: {mode!r}")
-    netlist, keys = resolve_key_inputs(locked, key_inputs, key_prefix)
+    locked = resolve_key_inputs(locked)
     bits = tuple(key)
-    if len(bits) != len(keys):
+    if len(bits) != locked.key_size:
         raise LockError(
-            f"key width {len(bits)} does not match {len(keys)} key inputs"
+            f"key width {len(bits)} does not match {locked.key_size} key inputs"
         )
 
-    diags = structural_check(netlist, original, keys, key_prefix)
+    diags = structural_check(locked, original)
     if diags:
         return Verdict(
             structural_ok=False,
@@ -113,7 +104,7 @@ def functional_verify(
             f"(limit {EXHAUSTIVE_PI_LIMIT}); use mode='sat'"
         )
 
-    applied = apply_key(netlist, bits, key_inputs=keys)
+    applied = apply_key(locked, bits)
 
     if mode == "exhaustive":
         order = original.primary_inputs

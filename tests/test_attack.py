@@ -112,7 +112,7 @@ def test_attack_degenerate_equivalent_keys():
     result = sat_attack(locked, Oracle(original))
     assert result.status == "key_recovered"
     assert result.iterations == 0
-    applied = apply_key(locked, result.recovered_key, key_inputs=["keyinput0"])
+    applied = apply_key(locked, result.recovered_key)
     assert equivalence_check(applied, original).equivalent
 
 
@@ -352,7 +352,8 @@ def test_corruption_asks_the_oracle_once():
 def _corruption_per_pair(locked, oracle_netlist, correct_key, wrong_keys, inputs,
                          seed):
     """The former implementation: one simulation per (wrong key, input)."""
-    netlist, key_inputs = resolve_key_inputs(locked)
+    resolved = resolve_key_inputs(locked)
+    netlist, key_inputs = resolved.netlist, resolved.key_inputs
     rng = random.Random(seed)
     keys = []
     for _ in range(wrong_keys):
@@ -403,11 +404,11 @@ def test_corruption_matches_per_pair_reference(
 
 
 def test_corruption_honours_key_prefix_on_plain_netlist():
-    # `benchlock corrupt --key-prefix` hands over a parsed, plain netlist
+    # `benchlock corrupt --key-prefix` resolves a parsed, plain netlist first
     c = c17()
     locked, key = lock(c, LockConfig(key_size=4, seed=42, key_prefix="kx"))
-    plain = corruption_stats(locked.netlist, Oracle(c), key, wrong_keys=20,
-                             inputs=20, seed=0, key_prefix="kx")
+    plain = corruption_stats(resolve_key_inputs(locked.netlist, "kx"), Oracle(c), key,
+                             wrong_keys=20, inputs=20, seed=0)
     assert plain == corruption_stats(locked, Oracle(c), key, wrong_keys=20,
                                      inputs=20, seed=0)
 

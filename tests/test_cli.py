@@ -1,11 +1,14 @@
 import json
+import re
+import shlex
+from pathlib import Path
 
 import jsonschema
 import pytest
 
 from benchlock.bench import emit_bench, parse_bench
 from benchlock.circuits import c17
-from benchlock.cli import main
+from benchlock.cli import _COMMANDS, build_parser, main
 from benchlock.report import load_report_schema, strip_volatile
 
 VERILOG = """module small(a, b, y);
@@ -178,3 +181,55 @@ def test_attack_with_inconsistent_oracle_is_input_error(tmp_path, c17_file, caps
     err = json.loads(capsys.readouterr().err)
     assert err["error"]["type"] == "AttackError"
     assert "inconsistent" in err["error"]["message"]
+
+
+def test_key_prefix_flows_through_every_command(tmp_path, c17_file, capsys):
+    locked = tmp_path / "locked.bench"
+    keyfile = tmp_path / "c17.key"
+    report = tmp_path / "report.json"
+    rc = main(["pipeline", "--input", str(c17_file), "--key-size", "3",
+               "--seed", "42", "--key-prefix", "kx", "--report", str(report),
+               "--output", str(locked), "--key-out", str(keyfile)])
+    assert rc == 0
+    assert "verify=equivalent" in capsys.readouterr().out
+    assert json.loads(report.read_text())["structural"] == {
+        "ok": True, "diagnostics": []}
+    assert "INPUT(kx0)" in locked.read_text()
+
+    read = ["--locked", str(locked), "--key-prefix", "kx"]
+    assert main(["attack", "--oracle", str(c17_file), *read]) == 0
+    assert "attack: key_recovered" in capsys.readouterr().out
+    assert main(["verify", "--original", str(c17_file), "--key", str(keyfile),
+                 *read]) == 0
+    out = capsys.readouterr().out
+    assert "structural: ok" in out
+    assert "functional: equivalent" in out
+    assert main(["corrupt", "--original", str(c17_file), "--key", str(keyfile),
+                 "--wrong-keys", "5", "--inputs", "8", *read]) == 0
+    assert json.loads(capsys.readouterr().out)["wrong_keys"] == 5
+
+
+def _readme_commands() -> list[list[str]]:
+    """Every ``benchlock ...`` command in README's sh blocks, continuation
+    lines joined and environment assignments dropped."""
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    commands = []
+    for block in re.findall(r"```sh\n(.*?)```", readme, flags=re.S):
+        for line in block.replace("\\\n", " ").splitlines():
+            words = shlex.split(line, comments=True)
+            while words and re.fullmatch(r"[A-Za-z_][A-Za-z0-9_]*=.*", words[0]):
+                words.pop(0)
+            if words and words[0] == "benchlock":
+                commands.append(words[1:])
+    return commands
+
+
+def test_readme_commands_parse():
+    commands = _readme_commands()
+    parser = build_parser()
+    for argv in commands:
+        try:
+            parser.parse_args(argv)
+        except SystemExit:
+            pytest.fail(f"README command does not parse: benchlock {shlex.join(argv)}")
+    assert {argv[0] for argv in commands} == set(_COMMANDS)

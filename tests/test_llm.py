@@ -52,7 +52,7 @@ def test_convert_prompt_deterministic():
 
 def test_obfuscate_prompt_embeds_everything():
     bench = emit_bench(c17())
-    t = render_obfuscate_prompt(bench, 4, ("XOR", "XNOR"), ("fanout", "random"))
+    t = render_obfuscate_prompt(bench, LockConfig(key_size=4), ("fanout", "random"))
     content = t[0].content
     assert bench.rstrip() in content
     assert "4 key bits" in content
@@ -60,12 +60,12 @@ def test_obfuscate_prompt_embeds_everything():
     assert "XOR/XNOR" in content
     assert "fan-out" in content
     assert "preserving the circuit connectivity" in content
-    assert t == render_obfuscate_prompt(bench, 4, ("XOR", "XNOR"), ("fanout", "random"))
+    assert t == render_obfuscate_prompt(bench, LockConfig(key_size=4), ("fanout", "random"))
 
 
 def test_obfuscate_prompt_rejects_unknown_hints():
     with pytest.raises(ValueError):
-        render_obfuscate_prompt("x", 2, strategy_hints=("bogus",))
+        render_obfuscate_prompt("x", LockConfig(key_size=2), strategy_hints=("bogus",))
 
 
 # -- truncation handling -----------------------------------------------------------
@@ -77,6 +77,22 @@ def test_truncation_heuristic():
     assert looks_truncated("complete text", finish_reason="length")
     assert not looks_truncated("y = NAND(a, b)")
     assert not looks_truncated("")
+
+
+def test_trailing_comment_line_is_not_truncation():
+    assert not looks_truncated("y = NAND(a, b)\n# key=001\n")
+    assert looks_truncated("y = NAND(a,\n# key=001\n")
+    assert looks_truncated("y = NAND(a, b)\n# key=001", finish_reason="length")
+
+    c = c17()
+    cfg = LockConfig(key_size=3, keygate_policy="xor_only", seed=5)
+    locked = insert_xor_keygates(c, select_nets(c, "random", 3, seed=3), (0, 0, 1))
+    mock = MockTransport([emit_bench(locked.netlist) + "# key=001\n"])
+    got, record = llm_obfuscate(mock, c, cfg)
+    assert len(mock.calls) == 1
+    assert record.final_source == "llm"
+    assert record.continuation_count == 0
+    assert got.correct_key.to_string() == "001"
 
 
 def test_stitch_trims_line_overlap():
@@ -263,6 +279,24 @@ def test_obfuscate_reads_key_inputs_in_numeric_order():
     key = parse_key_file(emit_key_file(got.correct_key))
     assert key.to_string() == "0111"
     assert functional_verify(emitted, c, key).functional == "equivalent"
+
+
+def test_obfuscate_honours_key_prefix():
+    c = c17()
+    cfg = LockConfig(key_size=3, keygate_policy="xor_only", seed=5, key_prefix="kx")
+    prompt = render_obfuscate_prompt(emit_bench(c), cfg)[0].content
+    assert "kx0 .. kx2" in prompt
+    assert "kx0 first" in prompt
+    assert "keyinput" not in prompt
+
+    locked, key = lock(c, cfg)
+    answer = f"# key={key.to_string()}\n" + emit_bench(locked.netlist)
+    got, record = llm_obfuscate(MockTransport([answer]), c, cfg)
+    assert "kx0 .. kx2" in record.transcript[0].content
+    assert record.final_source == "llm"
+    assert record.validation_outcomes == ("ok",)
+    assert got.key_inputs == ("kx0", "kx1", "kx2")
+    assert got.correct_key == key
 
 
 # keys 00 and 11 both cancel out; 01 and 10 complement y

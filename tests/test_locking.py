@@ -326,7 +326,7 @@ def test_apply_complemented_key_complements_po_driver():
 
 def test_apply_empty_key_is_identity():
     c = c17()
-    applied = apply_key(c, Key(()), key_inputs=[])
+    applied = apply_key(c, Key(()))
     assert applied.structurally_equal(c)
 
 

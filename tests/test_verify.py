@@ -26,7 +26,7 @@ def test_structural_flags_renamed_po():
         Gate("G99", old.kind, old.inputs),
     )
     broken = Netlist(n.name, n.primary_inputs, ("G22", "G99"), gates)
-    diags = structural_check(broken, c, key_inputs=["keyinput0", "keyinput1"])
+    diags = structural_check(broken, c)
     assert any("missing" in d and "G23" in d for d in diags)
     assert any("unexpected" in d and "G99" in d for d in diags)
 
@@ -39,8 +39,8 @@ def test_structural_zero_key_debug():
 def test_structural_flags_bad_prefix():
     c = c17()
     locked = insert_xor_keygates(c, ["G10"], (0,), prefix="secret")
-    diags = structural_check(locked, c, key_prefix="keyinput")
-    assert any("prefix" in d for d in diags)
+    diags = structural_check(locked.netlist, c)
+    assert any("input count" in d for d in diags)
 
 
 def test_functional_verify_correct_key_exhaustive():
@@ -103,8 +103,7 @@ def test_structural_failure_skips_functional():
     locked, key = lock(c, LockConfig(key_size=2, seed=3))
     n = locked.netlist
     dropped = Netlist(n.name, n.primary_inputs, ("G22",), n.gates)
-    verdict = functional_verify(dropped, c, key,
-                                key_inputs=["keyinput0", "keyinput1"])
+    verdict = functional_verify(dropped, c, key)
     assert not verdict.structural_ok
     assert verdict.functional == "skipped"
     assert verdict.skip_reason == "structural check failed"
