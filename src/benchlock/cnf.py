@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from typing import Iterable, Mapping
 
 from .errors import CnfError, StructuralError
-from .netlist import GateKind, Netlist, input_pattern
+from .netlist import GateKind, Netlist, input_patterns
 
 VarMap = dict  # net name -> variable index, one circuit copy
 
@@ -251,7 +251,7 @@ def brute_force_status(cnf: CnfFormula, max_vars: int = 24) -> str:
     if n > max_vars:
         raise CnfError(f"{n} variables exceeds brute-force limit {max_vars}")
     ones = (1 << (1 << n)) - 1
-    pos = [0] + [input_pattern(v - 1, n) for v in range(1, n + 1)]
+    pos = [0] + input_patterns(n)
     live = ones
     for clause in cnf.clauses:
         mask = 0

@@ -28,7 +28,6 @@ from .locking import (
     Key,
     LockConfig,
     LockedNetlist,
-    LockRecord,
     lock,
     resolve_key_inputs,
 )
@@ -37,6 +36,8 @@ from .verilog import parse_verilog_subset
 from .verify import functional_verify, structural_check
 
 CONTINUE_PROMPT = "Continue from the last line"
+MAX_CONTINUATIONS = 3  # continuation requests per answer before giving up
+TRANSPORT_RETRIES = 1  # resends of a request whose transport failed
 STITCH_MAX_OVERLAP = 50  # most repeated lines trimmed from a continuation
 EXHAUSTIVE_KEY_WIDTH = 8  # widest LLM key swept over every value
 API_KEY_ENV = "OBFUS_API_KEY"
@@ -253,15 +254,14 @@ def run_with_continuation(
     transcript: Sequence[ChatMessage],
     model: str = "",
     params: dict | None = None,
-    max_continuations: int = 3,
-    transport_retries: int = 1,
 ) -> tuple[str, tuple[ChatMessage, ...], int]:
     """Send a prompt, continuing past truncation with the fixed
     continuation request.
 
     Returns (stitched text, full transcript, continuation count). Raises
-    TruncationError if the budget runs out with output still truncated,
-    and TransportError after the retry policy is exhausted.
+    TruncationError if the output is still truncated after
+    MAX_CONTINUATIONS continuations, and TransportError once a request has
+    failed TRANSPORT_RETRIES + 1 times.
     """
     params = params or {}
     history = list(transcript)
@@ -269,7 +269,7 @@ def run_with_continuation(
     continuations = 0
     while True:
         last_error = None
-        for _ in range(transport_retries + 1):
+        for _ in range(TRANSPORT_RETRIES + 1):
             try:
                 response = transport.send(tuple(history), model, params)
                 break
@@ -281,7 +281,7 @@ def run_with_continuation(
         text = stitch(text, response.content) if text else response.content
         if not looks_truncated(response.content, response.finish_reason):
             return text, tuple(history), continuations
-        if continuations >= max_continuations:
+        if continuations >= MAX_CONTINUATIONS:
             raise TruncationError(
                 f"output still truncated after {continuations} continuations"
             )
@@ -311,37 +311,61 @@ def _run_validated(
     transport: Transport,
     transcript: tuple[ChatMessage, ...],
     validator: Callable[[str], object],
+    fallback: Callable[[], object] | None,
+    template_version: str,
     model: str,
     params: dict | None,
-    max_continuations: int,
     validation_retries: int,
-) -> tuple[object, tuple[ChatMessage, ...], int, list[str]]:
+) -> tuple[object, LlmRunRecord]:
     """Prompt / validate / repair loop shared by convert and obfuscate.
 
     ``validator`` returns the parsed result or raises BenchlockError; its
-    message is echoed back to the model in a repair prompt.
+    message is echoed back to the model in a repair prompt. When the
+    retries run out, the transport fails or the output stays truncated,
+    the result is ``fallback()``, or the error propagates if there is no
+    fallback.
     """
+    params = {"temperature": 0, **(params or {})}
     outcomes: list[str] = []
     history = transcript
     continuations = 0
-    for attempt in range(validation_retries + 1):
-        text, history, cont = run_with_continuation(
-            transport, history, model, params, max_continuations
-        )
-        continuations += cont
-        try:
-            result = validator(text)
-            outcomes.append("ok")
-            return result, history, continuations, outcomes
-        except BenchlockError as exc:
-            outcomes.append(f"{type(exc).__name__}: {exc}")
-            if attempt < validation_retries:
-                repair = _template("repair_v1").format(error=exc)
-                history = history + (ChatMessage("user", repair),)
-    raise ValidationFailed(
-        f"LLM output failed validation after {validation_retries + 1} attempts",
-        outcomes,
+    try:
+        for attempt in range(validation_retries + 1):
+            text, history, cont = run_with_continuation(
+                transport, history, model, params
+            )
+            continuations += cont
+            try:
+                result = validator(text)
+                break
+            except BenchlockError as exc:
+                outcomes.append(f"{type(exc).__name__}: {exc}")
+                if attempt < validation_retries:
+                    repair = _template("repair_v1").format(error=exc)
+                    history = history + (ChatMessage("user", repair),)
+        else:
+            raise ValidationFailed(
+                f"LLM output failed validation after {validation_retries + 1} attempts",
+                outcomes,
+            )
+        outcomes.append("ok")
+        source = "llm"
+    except (ValidationFailed, TruncationError, TransportError) as exc:
+        if fallback is None:
+            raise
+        outcomes.append(f"fallback: {exc}")
+        result, history, continuations = fallback(), transcript, 0
+        source = "fallback"
+    record = LlmRunRecord(
+        transcript=history,
+        continuation_count=continuations,
+        validation_outcomes=tuple(outcomes),
+        final_source=source,
+        template_version=template_version,
+        model=model,
+        decoding_params=params,
     )
+    return result, record
 
 
 def llm_convert(
@@ -349,7 +373,6 @@ def llm_convert(
     verilog_text: str,
     model: str = "",
     params: dict | None = None,
-    max_continuations: int = 3,
     validation_retries: int = 2,
     fallback: bool = True,
 ) -> tuple[Netlist, LlmRunRecord]:
@@ -373,30 +396,15 @@ def llm_convert(
                 )
         return candidate
 
-    transcript = render_convert_prompt(verilog_text)
-    base = {"temperature": 0, **(params or {})}
-    try:
-        netlist, history, cont, outcomes = _run_validated(
-            transport, transcript, validator, model, base,
-            max_continuations, validation_retries,
-        )
-        source = "llm"
-    except (ValidationFailed, TruncationError, TransportError) as exc:
-        if not (fallback and reference is not None):
-            raise
-        outcomes = list(getattr(exc, "outcomes", [])) + [f"fallback: {exc}"]
-        netlist, history, cont, source = reference, transcript, 0, "fallback"
-    if reference is None and source == "llm":
-        outcomes.append("accepted_without_reference")
-    record = LlmRunRecord(
-        transcript=history,
-        continuation_count=cont,
-        validation_outcomes=tuple(outcomes),
-        final_source=source,
-        template_version="convert/v1",
-        model=model,
-        decoding_params=base,
+    netlist, record = _run_validated(
+        transport, render_convert_prompt(verilog_text), validator,
+        (lambda: reference) if fallback and reference is not None else None,
+        "convert/v1", model, params, validation_retries,
     )
+    if reference is None:
+        record = replace(record, validation_outcomes=(
+            *record.validation_outcomes, "accepted_without_reference"
+        ))
     return netlist, record
 
 
@@ -407,7 +415,6 @@ def llm_obfuscate(
     model: str = "",
     params: dict | None = None,
     strategy_hints: Sequence[str] = ("fanout", "xor", "random"),
-    max_continuations: int = 3,
     validation_retries: int = 2,
     fallback: bool = True,
 ) -> tuple[LockedNetlist, LlmRunRecord]:
@@ -416,12 +423,12 @@ def llm_obfuscate(
     Key widths up to EXHAUSTIVE_KEY_WIDTH are verified under every key
     value (and the correct key recovered that way when the declaration is
     missing or wrong); wider keys require a correct ``# key=`` declaration,
-    checked by SAT equivalence. After the retry cap the deterministic
-    engine takes over when ``fallback`` is on — byte-identical to calling
-    it directly with the same config.
+    checked by SAT equivalence. An accepted answer carries no ledger, like
+    a locked file read back from disk. After the retry cap the
+    deterministic engine takes over when ``fallback`` is on — byte-identical
+    to calling it directly with the same config.
     """
     cfg = config.normalized()
-    bench_text = emit_bench(netlist)
     k = cfg.key_size
 
     def validator(text: str) -> LockedNetlist:
@@ -458,33 +465,10 @@ def llm_obfuscate(
                 if k <= EXHAUSTIVE_KEY_WIDTH
                 else "declared key does not reproduce the original behavior"
             )
-        ledger = tuple(
-            LockRecord(i, "(llm)", "(llm)", False, "(llm)")
-            for i in range(k)
-        )
-        return replace(candidate, correct_key=correct, ledger=ledger)
+        return replace(candidate, correct_key=correct)
 
-    transcript = render_obfuscate_prompt(bench_text, cfg, strategy_hints)
-    base = {"temperature": 0, **(params or {})}
-    try:
-        locked, history, cont, outcomes = _run_validated(
-            transport, transcript, validator, model, base,
-            max_continuations, validation_retries,
-        )
-        source = "llm"
-    except (ValidationFailed, TruncationError, TransportError) as exc:
-        if not fallback:
-            raise
-        outcomes = list(getattr(exc, "outcomes", [])) + [f"fallback: {exc}"]
-        locked, _ = lock(netlist, cfg)
-        history, cont, source = transcript, 0, "fallback"
-    record = LlmRunRecord(
-        transcript=history,
-        continuation_count=cont,
-        validation_outcomes=tuple(outcomes),
-        final_source=source,
-        template_version="obfuscate/v1",
-        model=model,
-        decoding_params=base,
+    return _run_validated(
+        transport, render_obfuscate_prompt(emit_bench(netlist), cfg, strategy_hints),
+        validator, (lambda: lock(netlist, cfg)[0]) if fallback else None,
+        "obfuscate/v1", model, params, validation_retries,
     )
-    return locked, record

@@ -286,11 +286,9 @@ class _Workbench:
                 )
             carrier = self.fresh(f"{target}_keyed")
             self.gates = [
-                Gate(
-                    g.output,
-                    g.kind,
-                    tuple(carrier if i == target else i for i in g.inputs),
-                )
+                Gate(g.output, g.kind,
+                     (carrier if i == target else i for i in g.inputs))
+                if target in g.inputs else g
                 for g in self.gates
             ]
             return carrier, target, True

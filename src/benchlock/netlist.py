@@ -142,7 +142,7 @@ class Netlist:
                 self._driver[gate.output] = gate
 
         self._loads: dict[str, list[tuple[int, int]]] | None = None
-        self._topo: tuple[Gate, ...] | None = None
+        self._sorted: tuple[tuple[Gate, ...], tuple[Gate, ...]] | None = None
 
     # -- basic accessors ----------------------------------------------------
 
@@ -208,7 +208,7 @@ class Netlist:
         return diags
 
     def _cycle_diagnostics(self) -> list[str]:
-        order, leftover = self._kahn()
+        _, leftover = self._kahn()
         if not leftover:
             return []
         # Walk drivers inside the leftover set until a net repeats.
@@ -226,11 +226,13 @@ class Netlist:
 
     # -- topological order ----------------------------------------------------
 
-    def _kahn(self) -> tuple[list[Gate], list[Gate]]:
+    def _kahn(self) -> tuple[tuple[Gate, ...], tuple[Gate, ...]]:
         """Deterministic Kahn layering; ties broken by original gate order.
 
-        Returns (ordered gates, gates stuck on a cycle).
+        Returns (ordered gates, gates stuck on a cycle), computed once.
         """
+        if self._sorted is not None:
+            return self._sorted
         pending = []
         missing = [0] * len(self.gates)
         waiting: dict[str, list[int]] = {}
@@ -256,17 +258,16 @@ class Netlist:
                 missing[wi] -= 1
                 if missing[wi] == 0:
                     heapq.heappush(pending, wi)
-        leftover = [g for gi, g in enumerate(self.gates) if not done[gi]]
-        return order, leftover
+        leftover = tuple(g for gi, g in enumerate(self.gates) if not done[gi])
+        self._sorted = (tuple(order), leftover)
+        return self._sorted
 
     def topo_order(self) -> tuple[Gate, ...]:
         """Gates ordered so each appears after the drivers of its inputs."""
-        if self._topo is None:
-            order, leftover = self._kahn()
-            if leftover:
-                raise StructuralError(self._cycle_diagnostics())
-            self._topo = tuple(order)
-        return self._topo
+        order, leftover = self._kahn()
+        if leftover:
+            raise StructuralError(self._cycle_diagnostics())
+        return order
 
     # -- simulation -----------------------------------------------------------
 
@@ -393,17 +394,21 @@ def simulate_words(
 EXHAUSTIVE_PI_LIMIT = 28
 
 
-def input_pattern(index: int, n_inputs: int) -> int:
-    """Truth-table mask for input ``index`` over all 2**n_inputs vectors.
+def input_patterns(n_inputs: int) -> list[int]:
+    """Truth-table masks of inputs 0 .. n_inputs-1 over all 2**n_inputs
+    vectors: bit j of mask i is bit i of the vector number j.
 
-    Bit j of the mask is bit ``index`` of the vector number j.
+    The top mask is the upper half of the width; mask i is
+    ``m ^ (m >> (1 << i))`` of the mask m of input i + 1.
     """
-    width = 1 << n_inputs
-    half = 1 << index
-    chunk = ((1 << half) - 1) << half
-    period = half << 1
-    repunit = ((1 << width) - 1) // ((1 << period) - 1)
-    return chunk * repunit
+    if n_inputs == 0:
+        return []
+    half = 1 << (n_inputs - 1)
+    masks = [((1 << half) - 1) << half]
+    for i in range(n_inputs - 2, -1, -1):
+        m = masks[-1]
+        masks.append(m ^ (m >> (1 << i)))
+    return masks[::-1]
 
 
 def truth_tables(
@@ -432,7 +437,7 @@ def truth_tables(
             f"({EXHAUSTIVE_PI_LIMIT}); use the SAT mode instead"
         )
     width = 1 << n
-    words = {pi: input_pattern(i, n) for i, pi in enumerate(order)}
+    words = dict(zip(order, input_patterns(n)))
     for pi, bit in extra.items():
         words[pi] = (1 << width) - 1 if bit else 0
     return simulate_words(netlist, words, width)

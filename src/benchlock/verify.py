@@ -55,6 +55,9 @@ def structural_check(locked: LockedNetlist | Netlist, original: Netlist) -> list
         diags.append(
             f"original primary inputs missing: {', '.join(sorted(missing_pi))}"
         )
+    for key in keys:
+        if not netlist.is_primary_input(key):
+            diags.append(f"key input is not a primary input: '{key}'")
 
     locked_pos, orig_pos = set(netlist.primary_outputs), set(original.primary_outputs)
     for po in sorted(orig_pos - locked_pos):

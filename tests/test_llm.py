@@ -1,3 +1,6 @@
+import hashlib
+import json
+
 import pytest
 
 from benchlock.bench import emit_bench, parse_bench
@@ -131,22 +134,16 @@ def test_split_bench_stitches_with_overlap():
 def test_always_truncated_hits_the_cap():
     mock = MockTransport([ChatResponse("x = AND(", finish_reason="length")] * 5)
     with pytest.raises(TruncationError):
-        run_with_continuation(
-            mock, render_convert_prompt(NAND_VERILOG), max_continuations=2
-        )
+        run_with_continuation(mock, render_convert_prompt(NAND_VERILOG))
 
 
 def test_transport_errors_retried_then_surfaced():
     mock = MockTransport([TransportError("boom"), NAND_BENCH])
-    text, _, _ = run_with_continuation(
-        mock, render_convert_prompt(NAND_VERILOG), transport_retries=1
-    )
+    text, _, _ = run_with_continuation(mock, render_convert_prompt(NAND_VERILOG))
     assert text == NAND_BENCH
     mock = MockTransport([TransportError("boom"), TransportError("boom")])
     with pytest.raises(TransportError):
-        run_with_continuation(
-            mock, render_convert_prompt(NAND_VERILOG), transport_retries=1
-        )
+        run_with_continuation(mock, render_convert_prompt(NAND_VERILOG))
 
 
 # -- llm_convert ----------------------------------------------------------------------
@@ -367,3 +364,93 @@ def test_obfuscate_validator_error_messages():
     assert "key width 9 > 8 requires a '# key=...' declaration" in outcome(wide, text)
     wrong = f"# key={key.complemented().to_string()}\n" + text
     assert "declared key does not reproduce" in outcome(wide, wrong)
+
+
+# -- run records -------------------------------------------------------------------------
+
+# Verilog the subset reader refuses, so conversion has no reference parse.
+NAND_BY_OPERATOR = """module m(a, b, y);
+input a, b;
+output y;
+assign y = ~(a & b);
+endmodule
+"""
+
+
+def _scripted_runs():
+    c, cfg, locked, key = locked_fixture()
+    declared = f"# key={key.to_string()}\n" + emit_bench(locked.netlist)
+    lines = declared.splitlines()
+    half = len(lines) // 2
+    truncated = [ChatResponse("\n".join(lines[:half]), finish_reason="length"),
+                 ChatResponse("\n".join(lines[half:]))]
+    wrong = "INPUT(a)\nINPUT(b)\nOUTPUT(y)\ny = AND(a, b)\n"
+    return {
+        "convert-accepted": lambda: llm_convert(MockTransport([NAND_BENCH]), NAND_VERILOG),
+        "convert-repaired": lambda: llm_convert(
+            MockTransport([wrong, NAND_BENCH]), NAND_VERILOG),
+        "convert-without-reference": lambda: llm_convert(
+            MockTransport([NAND_BENCH]), NAND_BY_OPERATOR),
+        "convert-fallback": lambda: llm_convert(MockTransport(["junk"] * 3), NAND_VERILOG),
+        "obfuscate-declared": lambda: llm_obfuscate(MockTransport([declared]), c, cfg),
+        "obfuscate-continued": lambda: llm_obfuscate(MockTransport(truncated), c, cfg),
+        "obfuscate-sweep": lambda: llm_obfuscate(
+            MockTransport([emit_bench(locked.netlist)]), c, cfg),
+        "obfuscate-fallback": lambda: llm_obfuscate(MockTransport(["junk"] * 3), c, cfg),
+    }
+
+
+def _digest(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()[:16]
+
+
+JUNK = "BenchParseError: line 1, col 1: unrecognized line: 'junk'"
+VALIDATION_FALLBACK = "fallback: LLM output failed validation after 3 attempts"
+
+# Recorded before the two pipelines shared one run engine: outcomes,
+# continuations, source, transcript length, then digests of the whole
+# as_dict() and of the emitted netlist.
+RECORD_GOLDENS = {
+    "convert-accepted": (("ok",), 0, "llm", 2, "1b427468e05f0ed4", "7c60da4b49d5c9e3"),
+    "convert-repaired": (
+        ("InterfaceError: functional mismatch with the source on input "
+         "{'a': 0, 'b': 0}", "ok"),
+        0, "llm", 4, "e1f57548011e4027", "7c60da4b49d5c9e3"),
+    "convert-without-reference": (("ok", "accepted_without_reference"), 0, "llm", 2,
+                                  "af780e4a2de9171c", "018af0bea0ddf8eb"),
+    "convert-fallback": ((JUNK,) * 3 + (VALIDATION_FALLBACK,), 0, "fallback", 1,
+                         "f895e0b91f85fdc1", "7c60da4b49d5c9e3"),
+    "obfuscate-declared": (("ok",), 0, "llm", 2, "316773e989ffff5f", "7fd24e0ac9fdc8ff"),
+    "obfuscate-continued": (("ok",), 1, "llm", 4, "33668a2d83f179fe", "7fd24e0ac9fdc8ff"),
+    "obfuscate-sweep": (("ok",), 0, "llm", 2, "1dcb98629387a781", "7fd24e0ac9fdc8ff"),
+    "obfuscate-fallback": ((JUNK,) * 3 + (VALIDATION_FALLBACK,), 0, "fallback", 1,
+                           "7ded4b8352e27ae9", "7fd24e0ac9fdc8ff"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(RECORD_GOLDENS))
+def test_run_record_goldens(name):
+    result, record = _scripted_runs()[name]()
+    d = record.as_dict()
+    out = emit_bench(getattr(result, "netlist", result))
+    assert (tuple(d["validation_outcomes"]), d["continuation_count"], d["final_source"],
+            len(d["transcript"]), _digest(json.dumps(d, sort_keys=True)),
+            _digest(out)) == RECORD_GOLDENS[name]
+    assert d["decoding_params"] == {"temperature": 0}
+    if name.startswith("obfuscate"):
+        assert result.correct_key.to_string() == "10"
+        # an accepted answer has no ledger, like a locked file read back
+        assert (result.ledger == ()) == (record.final_source == "llm")
+
+
+def test_fallback_record_keeps_every_attempt():
+    c = c17()
+    cfg = LockConfig(key_size=3, keygate_policy="xor_only", seed=5)
+    script = ["junk", TransportError("boom"), TransportError("boom")]
+    got, record = llm_obfuscate(MockTransport(script), c, cfg)
+    assert record.final_source == "fallback"
+    assert record.validation_outcomes == (JUNK, "fallback: boom")
+    assert emit_bench(got.netlist) == emit_bench(lock(c, cfg)[0].netlist)
+
+    _, record = llm_convert(MockTransport(list(script)), NAND_VERILOG)
+    assert record.validation_outcomes == (JUNK, "fallback: boom")

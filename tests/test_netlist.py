@@ -11,6 +11,7 @@ from benchlock.netlist import (
     Gate,
     GateKind,
     Netlist,
+    input_patterns,
     simulate_words,
     truth_tables,
     vector_assignment,
@@ -317,3 +318,22 @@ def test_acyclic_iff_topo_succeeds():
         n = random_netlist(3, 8, seed=seed)
         assert n.validate() == []
         n.topo_order()
+
+
+def _division_pattern(index: int, n_inputs: int) -> int:
+    """The former per-input formula: one chunk times a repunit."""
+    width = 1 << n_inputs
+    half = 1 << index
+    chunk = ((1 << half) - 1) << half
+    period = half << 1
+    repunit = ((1 << width) - 1) // ((1 << period) - 1)
+    return chunk * repunit
+
+
+@pytest.mark.parametrize("n", range(13))
+def test_input_patterns_match_division_formula(n):
+    masks = input_patterns(n)
+    assert len(masks) == n
+    for i, mask in enumerate(masks):
+        assert mask == _division_pattern(i, n)
+        assert all((mask >> j) & 1 == (j >> i) & 1 for j in range(1 << n))

@@ -3,7 +3,14 @@ import pytest
 from benchlock.attack import _miter
 from benchlock.circuits import c17, c432_scale, parallel_cones, random_netlist
 from benchlock.errors import LockError
-from benchlock.locking import Key, LockConfig, apply_key, insert_xor_keygates, lock
+from benchlock.locking import (
+    Key,
+    LockConfig,
+    LockedNetlist,
+    apply_key,
+    insert_xor_keygates,
+    lock,
+)
 from benchlock.netlist import Netlist
 from benchlock.verify import functional_verify, structural_check
 
@@ -41,6 +48,19 @@ def test_structural_flags_bad_prefix():
     locked = insert_xor_keygates(c, ["G10"], (0,), prefix="secret")
     diags = structural_check(locked.netlist, c)
     assert any("input count" in d for d in diags)
+
+
+def test_structural_flags_key_input_that_is_not_a_primary_input():
+    # the input count still adds up, so only the key-input check catches it
+    c = c17()
+    locked, key = lock(c, LockConfig(key_size=2, seed=5))
+    bad = LockedNetlist(locked.netlist, ("keyinput1", "nope"))
+    diags = structural_check(bad, c)
+    assert diags == ["key input is not a primary input: 'nope'"]
+    verdict = functional_verify(bad, c, key)
+    assert not verdict.structural_ok
+    assert verdict.functional == "skipped"
+    assert verdict.structural_diagnostics == tuple(diags)
 
 
 def test_functional_verify_correct_key_exhaustive():
