@@ -231,7 +231,8 @@ def _cmd_lock(args) -> int:
     locked, key = lock(netlist, _lock_config(args))
     Path(args.output).write_text(emit_bench(locked.netlist), encoding="utf-8")
     Path(args.key_out).write_text(
-        emit_key_file(key, comment=f"{netlist.name} seed={args.seed}"),
+        emit_key_file(key, comment=f"{netlist.name} seed={args.seed}",
+                      first_input=locked.key_inputs[0]),
         encoding="utf-8",
     )
     print(f"locked {netlist.name} with {len(key)} key bits -> {args.output}")
@@ -325,7 +326,8 @@ def _cmd_llm_lock(args) -> int:
         Path(args.output).write_text(emit_bench(locked.netlist), encoding="utf-8")
     if args.key_out:
         Path(args.key_out).write_text(
-            emit_key_file(locked.correct_key, comment=f"{netlist.name} (llm-lock)"),
+            emit_key_file(locked.correct_key, comment=f"{netlist.name} (llm-lock)",
+                          first_input=locked.key_inputs[0]),
             encoding="utf-8",
         )
     if args.report:
@@ -387,7 +389,8 @@ def _pipeline_one(
         output_path.write_text(emit_bench(locked.netlist), encoding="utf-8")
     if key_path:
         key_path.write_text(
-            emit_key_file(key, comment=f"{netlist.name} seed={args.seed}"),
+            emit_key_file(key, comment=f"{netlist.name} seed={args.seed}",
+                          first_input=locked.key_inputs[0]),
             encoding="utf-8",
         )
     if report_path:

@@ -31,7 +31,7 @@ from .locking import (
     lock,
     resolve_key_inputs,
 )
-from .netlist import Netlist
+from .netlist import Netlist, simulate_words
 from .verilog import parse_verilog_subset
 from .verify import functional_verify, structural_check
 
@@ -307,6 +307,37 @@ def _declared_key(text: str, key_size: int) -> Key | None:
     return None
 
 
+def _first_equivalent_key(
+    candidate: LockedNetlist, original: Netlist, trials: Sequence[Key]
+) -> Key | None:
+    """The first trial under which ``candidate`` matches ``original``.
+
+    Trials are verified in order; each mismatch's counterexample is
+    replayed on every trial still live, in one kernel call with trial j
+    in bit j of the key-input words, and the trials it refutes are
+    dropped unverified. A concrete mismatching input proves a trial wrong,
+    so the key returned is the one an unpruned scan would return, and it
+    has passed a full ``functional_verify``.
+    """
+    live = list(trials)
+    while live:
+        trial = live.pop(0)
+        verdict = functional_verify(candidate, original, trial)
+        if verdict.functional == "equivalent":
+            return trial
+        ctrex = verdict.counterexample
+        ones = (1 << len(live)) - 1
+        words = {pi: ones if bit else 0 for pi, bit in ctrex.items()}
+        for i, key_input in enumerate(candidate.key_inputs):
+            words[key_input] = sum(t[i] << j for j, t in enumerate(live))
+        values = simulate_words(candidate.netlist, words, len(live))
+        refuted = 0
+        for po, bit in original.simulate(ctrex).items():
+            refuted |= values[po] ^ (ones if bit else 0)
+        live = [t for j, t in enumerate(live) if not refuted >> j & 1]
+    return None
+
+
 def _run_validated(
     transport: Transport,
     transcript: tuple[ChatMessage, ...],
@@ -323,7 +354,8 @@ def _run_validated(
     message is echoed back to the model in a repair prompt. When the
     retries run out, the transport fails or the output stays truncated,
     the result is ``fallback()``, or the error propagates if there is no
-    fallback.
+    fallback. A fallback record keeps the transcript and continuation
+    count of the exchanges completed before the run gave up.
     """
     params = {"temperature": 0, **(params or {})}
     outcomes: list[str] = []
@@ -354,8 +386,7 @@ def _run_validated(
         if fallback is None:
             raise
         outcomes.append(f"fallback: {exc}")
-        result, history, continuations = fallback(), transcript, 0
-        source = "fallback"
+        result, source = fallback(), "fallback"
     record = LlmRunRecord(
         transcript=history,
         continuation_count=continuations,
@@ -420,8 +451,9 @@ def llm_obfuscate(
 ) -> tuple[LockedNetlist, LlmRunRecord]:
     """Ask the model to lock the netlist; verify structure and function.
 
-    Key widths up to EXHAUSTIVE_KEY_WIDTH are verified under every key
-    value (and the correct key recovered that way when the declaration is
+    Key widths up to EXHAUSTIVE_KEY_WIDTH are swept over every key value
+    after the declared one, skipping values an earlier counterexample
+    refutes (so the correct key is recovered when the declaration is
     missing or wrong); wider keys require a correct ``# key=`` declaration,
     checked by SAT equivalence. An accepted answer carries no ledger, like
     a locked file read back from disk. After the retry cap the
@@ -455,10 +487,7 @@ def llm_obfuscate(
                 f"key width {k} > {EXHAUSTIVE_KEY_WIDTH} requires a "
                 "'# key=...' declaration"
             )
-        correct = next((
-            trial for trial in trials
-            if functional_verify(candidate, netlist, trial).functional == "equivalent"
-        ), None)
+        correct = _first_equivalent_key(candidate, netlist, trials)
         if correct is None:
             raise InterfaceError(
                 "no key value makes the candidate match the original design"

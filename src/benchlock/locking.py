@@ -565,9 +565,13 @@ def resolve_key_inputs(
 # -- key files ------------------------------------------------------------------
 
 
-def emit_key_file(key: Key, comment: str | None = None) -> str:
+def emit_key_file(
+    key: Key, comment: str | None = None, first_input: str = f"{KEY_PREFIX}0"
+) -> str:
+    """Key file text; the header names ``first_input``, the key input
+    that bit 0 belongs to."""
     lines = [f"# {comment}"] if comment else []
-    lines.append(f"# {len(key)} key bits, index 0 = {KEY_PREFIX}0")
+    lines.append(f"# {len(key)} key bits, index 0 = {first_input}")
     lines.append(key.to_string())
     return "\n".join(lines) + "\n"
 

@@ -209,6 +209,28 @@ def test_key_prefix_flows_through_every_command(tmp_path, c17_file, capsys):
     assert json.loads(capsys.readouterr().out)["wrong_keys"] == 5
 
 
+@pytest.mark.parametrize("command", ["lock", "pipeline", "llm-lock"])
+def test_key_file_names_the_first_key_input(tmp_path, c17_file, monkeypatch, command):
+    import benchlock.llm as llm
+    from benchlock.locking import LockConfig, lock
+
+    # llm-lock gets a scripted model that answers with a correct kx lock
+    locked, key = lock(c17(), LockConfig(3, seed=42, key_prefix="kx"))
+    answer = f"# key={key.to_string()}\n" + emit_bench(locked.netlist)
+    monkeypatch.setattr(llm, "HttpTransport", lambda _: llm.MockTransport([answer]))
+    keyfile = tmp_path / "c17.key"
+    argv = [command, "--input", str(c17_file), "--key-size", "3", "--seed", "42",
+            "--output", str(tmp_path / "locked.bench"), "--key-out", str(keyfile)]
+    if command == "llm-lock":
+        argv += ["--endpoint", "http://localhost:1/unused"]
+    assert main([*argv, "--key-prefix", "kx"]) == 0
+    assert keyfile.read_text().splitlines()[1] == "# 3 key bits, index 0 = kx0"
+    if command != "llm-lock":
+        assert main(argv) == 0
+        assert keyfile.read_text() == "# c17 seed=42\n# 3 key bits, index 0 = keyinput0\n" \
+            f"{key.to_string()}\n"
+
+
 def _readme_commands() -> list[list[str]]:
     """Every ``benchlock ...`` command in README's sh blocks, continuation
     lines joined and environment assignments dropped."""

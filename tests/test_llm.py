@@ -2,9 +2,11 @@ import hashlib
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from benchlock.bench import emit_bench, parse_bench
-from benchlock.circuits import c17
+from benchlock.circuits import c17, random_netlist
 from benchlock.errors import TransportError, TruncationError, ValidationFailed
 from benchlock.llm import (
     CONTINUE_PROMPT,
@@ -20,11 +22,14 @@ from benchlock.llm import (
     stitch,
 )
 from benchlock.locking import (
+    KEYGATE_POLICIES,
+    Key,
     LockConfig,
     emit_key_file,
     insert_xor_keygates,
     lock,
     parse_key_file,
+    resolve_key_inputs,
     select_nets,
 )
 from benchlock.verify import functional_verify
@@ -322,24 +327,103 @@ def test_obfuscate_tries_declared_key_then_sweep(declaration, want):
     assert got.correct_key.to_string() == want
 
 
-def test_obfuscate_sweep_skips_the_declared_key(monkeypatch):
+def _spy_verify(mp):
+    """Route the validator's functional_verify through a recorder of
+    (key bits, verdict) pairs."""
     import benchlock.llm as llm
 
+    seen = []
+
+    def spy(candidate, original, key, *args, **kwargs):
+        verdict = functional_verify(candidate, original, key, *args, **kwargs)
+        seen.append(("".join(map(str, key)), verdict.functional))
+        return verdict
+
+    mp.setattr(llm, "functional_verify", spy)
+    return seen
+
+
+def test_obfuscate_sweep_skips_the_declared_key(monkeypatch):
     c = c17()
     cfg = LockConfig(key_size=3, keygate_policy="xor_only", seed=5)
     locked = insert_xor_keygates(c, select_nets(c, "random", 3, seed=3), (1, 1, 1))
-    tried = []
-
-    def spy(candidate, original, key, *args, **kwargs):
-        tried.append("".join(map(str, key)))
-        return functional_verify(candidate, original, key, *args, **kwargs)
-
-    monkeypatch.setattr(llm, "functional_verify", spy)
+    seen = _spy_verify(monkeypatch)
     answer = "# key=000\n" + emit_bench(locked.netlist)
     got, record = llm_obfuscate(MockTransport([answer]), c, cfg)
     assert record.validation_outcomes == ("ok",)
     assert got.correct_key.to_string() == "111"
-    assert tried == ["000", "100", "010", "110", "001", "101", "011", "111"]
+    # The counterexample of 000 refutes 100, 010, 110, 001 and 101 without
+    # a verify. The declared key is still tried first, and only once.
+    assert [bits for bits, _ in seen] == ["000", "011", "111"]
+
+
+def _unpruned_sweep(candidate, original, declared, k):
+    """Reference validator: the declared key, then every other value in
+    sweep order, each checked by a full functional_verify."""
+    trials = [] if declared is None else [declared]
+    trials += [t for t in (Key(tuple(v >> i & 1 for i in range(k)))
+                           for v in range(1 << k)) if t != declared]
+    return next((t for t in trials if
+                 functional_verify(candidate, original, t).functional == "equivalent"),
+                None)
+
+
+COMPLEMENT_KIND = {"AND": "NAND", "NAND": "AND", "OR": "NOR", "NOR": "OR",
+                   "XOR": "XNOR", "XNOR": "XOR"}
+
+
+@settings(derandomize=True, deadline=None, max_examples=60, database=None)
+@given(n_inputs=st.sampled_from([5, 9, 17, 18]), seed=st.integers(0, 10**6),
+       k=st.integers(1, 4), policy=st.sampled_from(KEYGATE_POLICIES),
+       declare=st.sampled_from(["none", "correct", "wrong"]),
+       mutate=st.none() | st.integers(0, 10**6))
+def test_pruned_sweep_picks_the_key_of_an_unpruned_sweep(
+        n_inputs, seed, k, policy, declare, mutate):
+    original = random_netlist(n_inputs, 40, seed)
+    cfg = LockConfig(key_size=k, keygate_policy=policy, seed=seed)
+    locked, key = lock(original, cfg)
+    lines = emit_bench(locked.netlist).splitlines()
+    if mutate is not None:
+        # complement one gate: often no key value matches any more
+        gates = [i for i, ln in enumerate(lines)
+                 if ln.split("= ")[-1].split("(")[0] in COMPLEMENT_KIND]
+        i = gates[mutate % len(gates)]
+        kind = lines[i].split("= ")[1].split("(")[0]
+        lines[i] = lines[i].replace(f"= {kind}(", f"= {COMPLEMENT_KIND[kind]}(")
+    text = "\n".join(lines) + "\n"
+    declared = {"none": None, "correct": key, "wrong": key.complemented()}[declare]
+    answer = text if declared is None else f"# key={declared.to_string()}\n{text}"
+    candidate = resolve_key_inputs(parse_bench(text, name=original.name))
+    want = _unpruned_sweep(candidate, original, declared, k)
+
+    with pytest.MonkeyPatch.context() as mp:
+        seen = _spy_verify(mp)
+        if want is None:
+            with pytest.raises(ValidationFailed) as exc:
+                llm_obfuscate(MockTransport([answer]), original, cfg,
+                              validation_retries=0, fallback=False)
+            assert exc.value.outcomes == ["InterfaceError: no key value makes the "
+                                          "candidate match the original design"]
+            assert all(verdict == "mismatch" for _, verdict in seen)
+            return
+        got, record = llm_obfuscate(MockTransport([answer]), original, cfg)
+    assert record.final_source == "llm"
+    assert got.correct_key == want
+    # the accepted key passed a full verify, the last one made
+    assert seen[-1] == (want.to_string(), "equivalent")
+    assert [bits for bits, _ in seen].count(want.to_string()) == 1
+
+
+def test_pruned_sweep_worst_case_needs_few_verifies(monkeypatch):
+    original = random_netlist(16, 1500, 5)
+    nets = select_nets(original, "random", 8, 7)
+    locked = insert_xor_keygates(original, nets, (1,) * 8)
+    seen = _spy_verify(monkeypatch)
+    got, _ = llm_obfuscate(MockTransport([emit_bench(locked.netlist)]), original,
+                           LockConfig(key_size=8))
+    # the unpruned sweep returns this key after 248 verifies
+    assert got.correct_key.to_string() == "11101111"
+    assert len(seen) <= 10
 
 
 def test_obfuscate_validator_error_messages():
@@ -418,13 +502,14 @@ RECORD_GOLDENS = {
         0, "llm", 4, "e1f57548011e4027", "7c60da4b49d5c9e3"),
     "convert-without-reference": (("ok", "accepted_without_reference"), 0, "llm", 2,
                                   "af780e4a2de9171c", "018af0bea0ddf8eb"),
-    "convert-fallback": ((JUNK,) * 3 + (VALIDATION_FALLBACK,), 0, "fallback", 1,
-                         "f895e0b91f85fdc1", "7c60da4b49d5c9e3"),
+    # a fallback record keeps the prompt, three answers and two repairs
+    "convert-fallback": ((JUNK,) * 3 + (VALIDATION_FALLBACK,), 0, "fallback", 6,
+                         "a90903ca5a7c63ab", "7c60da4b49d5c9e3"),
     "obfuscate-declared": (("ok",), 0, "llm", 2, "316773e989ffff5f", "7fd24e0ac9fdc8ff"),
     "obfuscate-continued": (("ok",), 1, "llm", 4, "33668a2d83f179fe", "7fd24e0ac9fdc8ff"),
     "obfuscate-sweep": (("ok",), 0, "llm", 2, "1dcb98629387a781", "7fd24e0ac9fdc8ff"),
-    "obfuscate-fallback": ((JUNK,) * 3 + (VALIDATION_FALLBACK,), 0, "fallback", 1,
-                           "7ded4b8352e27ae9", "7fd24e0ac9fdc8ff"),
+    "obfuscate-fallback": ((JUNK,) * 3 + (VALIDATION_FALLBACK,), 0, "fallback", 6,
+                           "d09b487811e1a746", "7fd24e0ac9fdc8ff"),
 }
 
 
@@ -454,3 +539,21 @@ def test_fallback_record_keeps_every_attempt():
 
     _, record = llm_convert(MockTransport(list(script)), NAND_VERILOG)
     assert record.validation_outcomes == (JUNK, "fallback: boom")
+
+
+def test_fallback_record_keeps_the_transcript():
+    c = c17()
+    cfg = LockConfig(key_size=3, keygate_policy="xor_only", seed=5)
+    script = [ChatResponse("x = AND(", finish_reason="length"), "junk", "junk", "junk"]
+    _, record = llm_obfuscate(MockTransport(script), c, cfg)
+    assert record.final_source == "fallback"
+    assert record.continuation_count == 1
+    assert [m.role for m in record.transcript] == ["user", "assistant"] * 4
+    assert record.transcript[2].content == CONTINUE_PROMPT
+    assert [m.content for m in record.transcript[1::2]] == ["x = AND(", "junk",
+                                                           "junk", "junk"]
+
+    # a request whose transport fails adds nothing; the repair prompt stays
+    script = ["junk", TransportError("boom"), TransportError("boom")]
+    _, record = llm_convert(MockTransport(script), NAND_VERILOG)
+    assert [m.role for m in record.transcript] == ["user", "assistant", "user"]
