@@ -93,11 +93,22 @@ class StatError(BenchlockError):
     """Corruption statistics were requested on an unusable configuration."""
 
 
-class TransportError(BenchlockError):
+class _ExchangeError(BenchlockError):
+    """An LLM exchange gave up. ``transcript`` and ``continuations`` hold
+    what the exchange had sent and received by then, when the continuation
+    loop raised the error (empty otherwise)."""
+
+    def __init__(self, message, transcript=(), continuations=0):
+        super().__init__(message)
+        self.transcript = tuple(transcript)
+        self.continuations = continuations
+
+
+class TransportError(_ExchangeError):
     """A chat-completion transport failed to deliver a response."""
 
 
-class TruncationError(BenchlockError):
+class TruncationError(_ExchangeError):
     """LLM output stayed truncated after the continuation budget ran out."""
 
 

@@ -261,7 +261,8 @@ def run_with_continuation(
     Returns (stitched text, full transcript, continuation count). Raises
     TruncationError if the output is still truncated after
     MAX_CONTINUATIONS continuations, and TransportError once a request has
-    failed TRANSPORT_RETRIES + 1 times.
+    failed TRANSPORT_RETRIES + 1 times; either error carries the
+    transcript and continuation count reached so far.
     """
     params = params or {}
     history = list(transcript)
@@ -276,14 +277,15 @@ def run_with_continuation(
             except TransportError as exc:
                 last_error = exc
         else:
-            raise last_error
+            raise TransportError(str(last_error), history, continuations) from last_error
         history.append(ChatMessage("assistant", response.content))
         text = stitch(text, response.content) if text else response.content
         if not looks_truncated(response.content, response.finish_reason):
             return text, tuple(history), continuations
         if continuations >= MAX_CONTINUATIONS:
             raise TruncationError(
-                f"output still truncated after {continuations} continuations"
+                f"output still truncated after {continuations} continuations",
+                history, continuations,
             )
         continuations += 1
         history.append(ChatMessage("user", CONTINUE_PROMPT))
@@ -355,7 +357,8 @@ def _run_validated(
     retries run out, the transport fails or the output stays truncated,
     the result is ``fallback()``, or the error propagates if there is no
     fallback. A fallback record keeps the transcript and continuation
-    count of the exchanges completed before the run gave up.
+    count of the exchanges made before the run gave up, the partial one
+    of a truncated or failed request included.
     """
     params = {"temperature": 0, **(params or {})}
     outcomes: list[str] = []
@@ -385,6 +388,10 @@ def _run_validated(
     except (ValidationFailed, TruncationError, TransportError) as exc:
         if fallback is None:
             raise
+        if not isinstance(exc, ValidationFailed):
+            # keep the partial exchange of the request that gave up
+            history = exc.transcript
+            continuations += exc.continuations
         outcomes.append(f"fallback: {exc}")
         result, source = fallback(), "fallback"
     record = LlmRunRecord(

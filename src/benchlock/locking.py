@@ -20,8 +20,8 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, replace
 
-from .errors import DummyError, LockError, SelectionError
-from .netlist import Gate, GateKind, Netlist, cofactor, fresh_name
+from .errors import DummyError, LockError, SelectionError, StructuralError
+from .netlist import Gate, GateKind, Netlist, cofactor, fresh_name, reach
 from .scoap import scoap
 
 PRNG_NAME = "mt19937"
@@ -183,6 +183,13 @@ def select_nets(
     fanout_count x driver arity (arity 1 for PIs). sll: greedy scan in
     cone_size order skipping nets on a shared path with a previous pick.
     Ties break by net name ascending.
+
+    cone_size and sll rank by fan-in and fan-out bitsets (bit i is net i
+    of ``netlist.nets``), built in one forward and one backward pass over
+    ``topo_order()`` and dropped on return; |tfi|+|tfo| is a bit count,
+    and sll tests a candidate against the union of the chosen cones. The
+    netlist must be valid (``lock`` checks it): a cycle raises
+    StructuralError.
     """
     if strategy not in SELECTION_STRATEGIES:
         raise SelectionError(f"unknown selection strategy: {strategy!r}")
@@ -213,19 +220,35 @@ def select_nets(
         return sorted(pool, key=lambda n: (-weight(n), n))[:k]
 
     # cone_size and sll both rank by cone size
+    order = netlist.topo_order()
+    bit = {n: 1 << i for i, n in enumerate(netlist.nets)}
+    fanin = dict.fromkeys(bit, 0)
+    for gate in order:
+        cone = 0
+        for inp in gate.inputs:
+            if inp in bit:
+                cone |= fanin[inp] | bit[inp]
+        fanin[gate.output] = cone
+    fanout = dict.fromkeys(bit, 0)
+    for gate in reversed(order):
+        cone = fanout[gate.output] | bit[gate.output]
+        for inp in gate.inputs:
+            if inp in bit:
+                fanout[inp] |= cone
     ranked = sorted(
-        pool, key=lambda n: (-(len(netlist.tfi(n)) + len(netlist.tfo(n))), n)
+        pool,
+        key=lambda n: (-(fanin[n].bit_count() + fanout[n].bit_count()), n),
     )
     if strategy == "cone_size":
         return ranked[:k]
 
     chosen: list[str] = []
-    cones: list[set[str]] = []
+    covered = 0
     for cand in ranked:
-        if any(cand in cone for cone in cones):
+        if covered & bit[cand]:
             continue
         chosen.append(cand)
-        cones.append(netlist.tfi(cand) | netlist.tfo(cand))
+        covered |= fanin[cand] | fanout[cand]
         if len(chosen) == k:
             return chosen
     raise SelectionError(
@@ -237,19 +260,37 @@ def select_nets(
 
 
 class _Workbench:
-    """Mutable gate list while key gates are spliced in."""
+    """Mutable gate list while key gates are spliced in.
+
+    Two live tables follow every ``append`` and ``splice``: ``driver``
+    (net -> index of its gate in ``gates``; primary inputs have none) and
+    ``readers`` (net -> indices of the gates reading it). Splicing looks
+    the target up in them instead of scanning the gate list, and a MUX
+    dummy walks only the target's cone on them.
+    """
 
     def __init__(self, netlist: Netlist, prefix: str):
         self.name = netlist.name
         self.pis = list(netlist.primary_inputs)
         self.pos = list(netlist.primary_outputs)
-        self.gates = list(netlist.gates)
+        self.gates: list[Gate] = []
+        self.driver: dict[str, int] = {}
+        self.readers: dict[str, list[int]] = {}
+        for gate in netlist.gates:
+            self.append(gate)
         self.original_pis = tuple(netlist.primary_inputs)
         self.prefix = prefix
         self.taken = set(netlist.nets)  # the nets of snapshot(), kept in step
 
     def snapshot(self) -> Netlist:
         return Netlist(self.name, self.pis, self.pos, self.gates)
+
+    def append(self, gate: Gate) -> None:
+        index = len(self.gates)
+        self.gates.append(gate)
+        self.driver[gate.output] = index
+        for inp in dict.fromkeys(gate.inputs):
+            self.readers.setdefault(inp, []).append(index)
 
     def fresh(self, base: str) -> str:
         name = fresh_name(base, self.taken)
@@ -264,6 +305,17 @@ class _Workbench:
         self.pis.append(name)
         return name
 
+    def cone(self, net: str) -> set[str]:
+        """Transitive fan-in and fan-out of ``net``, excluding ``net``."""
+        gates, driver, readers = self.gates, self.driver, self.readers
+        fanin = reach(
+            net, lambda n: gates[driver[n]].inputs if n in driver else ()
+        )
+        fanout = reach(
+            net, lambda n: (gates[gi].output for gi in readers.get(n, ()))
+        )
+        return fanin | fanout
+
     def splice(self, target: str) -> tuple[str, str, bool]:
         """Make room for a key gate driving ``target``'s sinks.
 
@@ -273,9 +325,7 @@ class _Workbench:
         rewired to it. Returns (key_gate_output, original_value_net,
         pi_mode).
         """
-        driver_idx = next(
-            (i for i, g in enumerate(self.gates) if g.output == target), None
-        )
+        driver_idx = self.driver.pop(target, None)
         if driver_idx is None:
             if target not in self.pis:
                 raise LockError(f"cannot lock unknown net {target!r}")
@@ -285,16 +335,18 @@ class _Workbench:
                     "and a primary output"
                 )
             carrier = self.fresh(f"{target}_keyed")
-            self.gates = [
-                Gate(g.output, g.kind,
-                     (carrier if i == target else i for i in g.inputs))
-                if target in g.inputs else g
-                for g in self.gates
-            ]
+            sinks = self.readers.pop(target, [])
+            for gi in sinks:
+                g = self.gates[gi]
+                self.gates[gi] = Gate(
+                    g.output, g.kind, (carrier if i == target else i for i in g.inputs)
+                )
+            self.readers[carrier] = sinks
             return carrier, target, True
         old = self.gates[driver_idx]
         carrier = self.fresh(f"{target}_pre")
         self.gates[driver_idx] = Gate(carrier, old.kind, old.inputs)
+        self.driver[carrier] = driver_idx
         return target, carrier, False
 
 
@@ -309,7 +361,9 @@ def _dummy_net(
 
     Returns (dummy net, description for the ledger). The cone filter keeps
     the dummy outside tfi/tfo of the locked net so insertion can never
-    close a cycle.
+    close a cycle. The candidates come in ``snapshot().nets`` order (the
+    original primary inputs, then gate outputs in gate order), so the
+    seeded picks do not depend on how the cone was found.
     """
     if policy == "constant":
         bit = rng.getrandbits(1)
@@ -321,7 +375,7 @@ def _dummy_net(
             raise DummyError(f"no primary input to anchor a constant for {target!r}")
         net = bench.fresh(f"km{bit_index}_c{bit}")
         kind = GateKind.XNOR if bit else GateKind.XOR
-        bench.gates.append(Gate(net, kind, (anchor, anchor)))
+        bench.append(Gate(net, kind, (anchor, anchor)))
         return net, f"constant{bit}"
 
     if policy == "primary_input":
@@ -330,12 +384,10 @@ def _dummy_net(
             raise DummyError(f"no primary input available as dummy for {target!r}")
         return rng.choice(pool), "primary_input"
 
-    snapshot = bench.snapshot()
-    blocked = snapshot.tfi(target) | snapshot.tfo(target) | {target}
-    key_names = set(bench.pis) - set(bench.original_pis)
-    pool = [
-        n for n in snapshot.nets if n not in blocked and n not in key_names
-    ]
+    blocked = bench.cone(target)
+    blocked.add(target)
+    pool = [p for p in bench.original_pis if p not in blocked]
+    pool += [g.output for g in bench.gates if g.output not in blocked]
     if policy == "other_cone_net":
         if not pool:
             raise DummyError(f"no net outside the cone of {target!r}")
@@ -349,15 +401,21 @@ def _dummy_net(
     operands = rng.sample(pool, want)
     if want == 2 or rng.getrandbits(1):
         net = bench.fresh(f"km{bit_index}_f0")
-        bench.gates.append(Gate(net, rng.choice(_RANDOM_FN_KINDS), operands))
+        bench.append(Gate(net, rng.choice(_RANDOM_FN_KINDS), operands))
         return net, "random_function"
     inner = bench.fresh(f"km{bit_index}_f0")
-    bench.gates.append(Gate(inner, rng.choice(_RANDOM_FN_KINDS), operands[:2]))
+    bench.append(Gate(inner, rng.choice(_RANDOM_FN_KINDS), operands[:2]))
     net = bench.fresh(f"km{bit_index}_f1")
-    bench.gates.append(
-        Gate(net, rng.choice(_RANDOM_FN_KINDS), (inner, operands[2]))
-    )
+    bench.append(Gate(net, rng.choice(_RANDOM_FN_KINDS), (inner, operands[2])))
     return net, "random_function"
+
+
+def _require_valid(netlist: Netlist) -> None:
+    """Refuse an invalid input up front: selection and insertion assume a
+    valid netlist, and a broken result must blame the input."""
+    diags = netlist.validate()
+    if diags:
+        raise StructuralError(diags)
 
 
 def _insert(
@@ -367,7 +425,8 @@ def _insert(
     rng: random.Random,
     prefix: str,
 ) -> LockedNetlist:
-    """Splice key gates per plan entries (index, target, bit, style)."""
+    """Splice key gates per plan entries (index, target, bit, style) into
+    a valid netlist."""
     targets = [t for _, t, _, _ in plan]
     if len(set(targets)) != len(targets):
         raise LockError("lock targets must be distinct")
@@ -387,13 +446,13 @@ def _insert(
         key_out, carrier, pi_mode = bench.splice(target)
         if style == "xor":
             kind = GateKind.XNOR if bit else GateKind.XOR
-            bench.gates.append(Gate(key_out, kind, (carrier, key_in)))
+            bench.append(Gate(key_out, kind, (carrier, key_in)))
             records.append(
                 LockRecord(index, target, kind.value, pi_mode, carrier)
             )
         else:
             data = (carrier, dummy) if bit == 0 else (dummy, carrier)
-            bench.gates.append(Gate(key_out, GateKind.MUX, (key_in,) + data))
+            bench.append(Gate(key_out, GateKind.MUX, (key_in,) + data))
             records.append(
                 LockRecord(
                     index,
@@ -427,6 +486,7 @@ def insert_xor_keygates(
     bits = tuple(key_bits)
     if len(nets) != len(bits):
         raise LockError(f"{len(nets)} nets vs {len(bits)} key bits")
+    _require_valid(netlist)
     plan = [(i, n, b, "xor") for i, (n, b) in enumerate(zip(nets, bits))]
     return _insert(netlist, plan, "other_cone_net", random.Random(0), prefix)
 
@@ -451,6 +511,7 @@ def insert_mux_keygates(
         raise LockError(f"{len(nets)} nets vs {len(bits)} key bits")
     if dummy_policy not in DUMMY_POLICIES:
         raise LockError(f"unknown dummy policy: {dummy_policy!r}")
+    _require_valid(netlist)
     plan = [(i, n, b, "mux") for i, (n, b) in enumerate(zip(nets, bits))]
     return _insert(netlist, plan, dummy_policy, random.Random(seed), prefix)
 
@@ -459,9 +520,10 @@ def lock(netlist: Netlist, config: LockConfig) -> tuple[LockedNetlist, Key]:
     """Full locking flow: key generation, net selection, key-gate insertion.
 
     Byte-deterministic for a fixed (netlist, config): all sub-seeds derive
-    from config.seed.
+    from config.seed. An invalid input raises StructuralError.
     """
     cfg = config.normalized()
+    _require_valid(netlist)
     root = random.Random(cfg.seed)
     key_seed, select_seed, split_seed, dummy_seed = (
         root.getrandbits(64) for _ in range(4)

@@ -10,9 +10,10 @@ from __future__ import annotations
 
 import heapq
 import re
+from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, Mapping
+from typing import Callable, Container, Iterable, Mapping
 
 from .errors import StructuralError, UnknownNet
 
@@ -143,6 +144,8 @@ class Netlist:
 
         self._loads: dict[str, list[tuple[int, int]]] | None = None
         self._sorted: tuple[tuple[Gate, ...], tuple[Gate, ...]] | None = None
+        self._po_slots: Counter[str] | None = None
+        self._reads_unknown: bool | None = None  # a gate reads an unknown name
 
     # -- basic accessors ----------------------------------------------------
 
@@ -292,18 +295,15 @@ class Netlist:
         excluding ``net`` itself."""
         if not self.has_net(net):
             raise UnknownNet(f"unknown net: {net!r}")
-        seen: set[str] = set()
-        stack = [net]
-        while stack:
-            gate = self._driver.get(stack.pop())
-            if gate is None:
-                continue
-            for inp in gate.inputs:
-                if inp not in seen and inp in self._driver:
-                    seen.add(inp)
-                    stack.append(inp)
-        seen.discard(net)
-        return seen
+        drivers = self._driver
+        cone = reach(
+            net, lambda n: () if (gate := drivers.get(n)) is None else gate.inputs
+        )
+        if self._reads_unknown is None:
+            self._reads_unknown = any(
+                i not in drivers for gate in self.gates for i in gate.inputs
+            )
+        return cone & drivers.keys() if self._reads_unknown else cone
 
     def tfo(self, net: str) -> set[str]:
         """Transitive fan-out: nets reachable forward through gate inputs,
@@ -311,23 +311,16 @@ class Netlist:
         if not self.has_net(net):
             raise UnknownNet(f"unknown net: {net!r}")
         loads = self._load_table()
-        seen: set[str] = set()
-        stack = [net]
-        while stack:
-            for gi, _ in loads[stack.pop()]:
-                out = self.gates[gi].output
-                if out not in seen:
-                    seen.add(out)
-                    stack.append(out)
-        seen.discard(net)
-        return seen
+        return reach(net, lambda n: (self.gates[gi].output for gi, _ in loads[n]))
 
     def fanout_count(self, net: str) -> int:
         """Number of gate-input positions plus primary-output slots reading
         the net."""
         if not self.has_net(net):
             raise UnknownNet(f"unknown net: {net!r}")
-        return len(self._load_table()[net]) + self.primary_outputs.count(net)
+        if self._po_slots is None:
+            self._po_slots = Counter(self.primary_outputs)
+        return len(self._load_table()[net]) + self._po_slots[net]
 
     def stats(self) -> CircuitStats:
         by_kind: dict[str, int] = {}
@@ -538,9 +531,25 @@ def cofactor(
     return gates, const
 
 
-def fresh_name(base: str, taken: Iterable[str]) -> str:
-    """First name of the form base / base_2 / base_3 ... not in ``taken``."""
-    taken = set(taken)
+def reach(start: str, step: Callable[[str], Iterable[str]]) -> set[str]:
+    """Nets reachable from ``start`` by repeated ``step``, excluding
+    ``start`` itself. The one cone walk: ``step`` yields a net's fan-in
+    for a transitive fan-in, its readers' outputs for a transitive fan-out.
+    """
+    seen: set[str] = set()
+    stack = [start]
+    while stack:
+        for nxt in step(stack.pop()):
+            if nxt not in seen:
+                seen.add(nxt)
+                stack.append(nxt)
+    seen.discard(start)
+    return seen
+
+
+def fresh_name(base: str, taken: Container[str]) -> str:
+    """First name of the form base / base_2 / base_3 ... not in ``taken``
+    (only tested for membership, never copied)."""
     if base not in taken:
         return base
     i = 2

@@ -557,3 +557,26 @@ def test_fallback_record_keeps_the_transcript():
     script = ["junk", TransportError("boom"), TransportError("boom")]
     _, record = llm_convert(MockTransport(script), NAND_VERILOG)
     assert [m.role for m in record.transcript] == ["user", "assistant", "user"]
+
+
+def test_fallback_record_keeps_a_truncated_exchange():
+    c = c17()
+    cfg = LockConfig(key_size=3, keygate_policy="xor_only", seed=5)
+    script = [ChatResponse("x = AND(", finish_reason="length")] * 4
+    _, record = llm_obfuscate(MockTransport(script), c, cfg)
+    assert record.validation_outcomes == (
+        "fallback: output still truncated after 3 continuations",)
+    assert record.continuation_count == 3
+    assert [m.role for m in record.transcript] == ["user", "assistant"] * 4
+    assert [m.content for m in record.transcript[1::2]] == ["x = AND("] * 4
+    assert [m.content for m in record.transcript[2::2]] == [CONTINUE_PROMPT] * 3
+
+
+def test_fallback_record_keeps_the_exchange_before_a_failed_continuation():
+    script = [ChatResponse("x = AND(", finish_reason="length"),
+              TransportError("boom"), TransportError("boom")]
+    _, record = llm_convert(MockTransport(script), NAND_VERILOG)
+    assert record.validation_outcomes == ("fallback: boom",)
+    assert record.continuation_count == 1
+    assert [m.role for m in record.transcript] == ["user", "assistant", "user"]
+    assert record.transcript[2].content == CONTINUE_PROMPT

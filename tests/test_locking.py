@@ -1,15 +1,28 @@
+import hashlib
 import itertools
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from benchlock.bench import emit_bench
-from benchlock.circuits import c17, parallel_cones
-from benchlock.errors import DummyError, LockError, SelectionError
+from benchlock.circuits import (
+    c17,
+    c432_scale,
+    layered_netlist,
+    parallel_cones,
+    random_netlist,
+)
+from benchlock.errors import DummyError, LockError, SelectionError, StructuralError
 from benchlock.locking import (
+    DUMMY_POLICIES,
+    KEYGATE_POLICIES,
+    SELECTION_STRATEGIES,
     Key,
     LockConfig,
     apply_key,
     detect_key_inputs,
+    eligible_nets,
     emit_key_file,
     generate_key,
     insert_mux_keygates,
@@ -107,6 +120,47 @@ def test_scoap_and_fan_heavy_run(c17_netlist):
     heavy = select_nets(c17_netlist, "fan_heavy", 1)
     # G11 and G16 both feed two 2-input gates (score 4); G11 wins by name
     assert heavy == ["G11"]
+
+
+def _reference_select(netlist, strategy, k):
+    """cone_size / sll as set-based tfi/tfo walks per net."""
+    ranked = sorted(
+        eligible_nets(netlist),
+        key=lambda n: (-(len(netlist.tfi(n)) + len(netlist.tfo(n))), n),
+    )
+    if strategy == "cone_size":
+        return ranked[:k]
+    chosen, cones = [], []
+    for cand in ranked:
+        if any(cand in cone for cone in cones):
+            continue
+        chosen.append(cand)
+        cones.append(netlist.tfi(cand) | netlist.tfo(cand))
+        if len(chosen) == k:
+            return chosen
+    return f"sll found only {len(chosen)} path-disjoint nets; try k <= {len(chosen)}"
+
+
+@pytest.mark.parametrize("make", [
+    lambda: random_netlist(12, 150, 1),
+    lambda: random_netlist(8, 60, 2, with_mux=True),
+    lambda: random_netlist(20, 300, 3),
+    lambda: layered_netlist(16, [20, 16, 12, 8], 4, n_outputs=6),
+    lambda: layered_netlist(24, [30, 24, 10], 5, n_outputs=10),
+    lambda: parallel_cones(6),
+], ids=["rand12", "rand8_mux", "rand20", "layered4", "layered5", "cones6"])
+def test_bitset_selection_matches_set_walks(make):
+    netlist = make()
+    for k in (1, 3, 12, len(eligible_nets(netlist))):
+        assert select_nets(netlist, "cone_size", k) == _reference_select(
+            netlist, "cone_size", k)
+        want = _reference_select(netlist, "sll", k)
+        if isinstance(want, str):
+            with pytest.raises(SelectionError) as exc:
+                select_nets(netlist, "sll", k)
+            assert str(exc.value) == want
+        else:
+            assert select_nets(netlist, "sll", k) == want
 
 
 def test_pi_that_is_po_not_eligible():
@@ -277,6 +331,76 @@ def test_lock_byte_determinism():
     assert emit_bench(a.netlist) == emit_bench(b.netlist)
     assert akey == bkey
     assert a.ledger == b.ledger
+
+
+# sha256 over every (strategy, key gate, dummy, seed) lock of four circuits:
+# emitted .bench, key string and ledger repr, or the error's type and
+# message. Recorded before the workbench kept live driver/reader tables
+# and selection moved to bitsets; those must not move a byte.
+LOCK_GRID_DIGEST = "4fee8f01973b64d49e71ba3154aade270894358361512e094ba1ecedc8967d31"
+
+
+def test_lock_output_is_pinned_over_the_policy_grid():
+    digest = hashlib.sha256()
+    corpus = ((c17(), 3), (parallel_cones(8), 8), (c432_scale(), 16),
+              (random_netlist(14, 300, 3), 16))
+    for (netlist, k), strategy, keygate, dummy, seed in itertools.product(
+            corpus, SELECTION_STRATEGIES, KEYGATE_POLICIES, DUMMY_POLICIES, (1, 42)):
+        cfg = LockConfig(k, keygate_policy=keygate, selection=strategy,
+                         dummy_policy=dummy, seed=seed)
+        try:
+            locked, key = lock(netlist, cfg)
+            text = f"{emit_bench(locked.netlist)}\n{key.to_string()}\n{locked.ledger!r}\n"
+        except Exception as exc:  # refusals are pinned too
+            text = f"{type(exc).__name__}: {exc}\n"
+        digest.update(text.encode())
+    assert digest.hexdigest() == LOCK_GRID_DIGEST
+
+
+def _cyclic():
+    return Netlist("cyc", ["a"], ["y"], [Gate("x", GateKind.AND, ("a", "y")),
+                                         Gate("y", GateKind.OR, ("a", "x"))])
+
+
+def _undriven():
+    return Netlist("und", ["a"], ["y"], [Gate("y", GateKind.AND, ("a", "ghost"))])
+
+
+@pytest.mark.parametrize("make", [_cyclic, _undriven])
+@pytest.mark.parametrize("strategy", ["random", "cone_size", "fan_heavy"])
+def test_lock_rejects_an_invalid_input_as_structural(make, strategy):
+    netlist = make()
+    with pytest.raises(StructuralError) as exc:
+        lock(netlist, LockConfig(key_size=1, selection=strategy))
+    assert exc.value.diagnostics == netlist.validate()
+
+
+@pytest.mark.parametrize("make", [_cyclic, _undriven])
+def test_insert_rejects_an_invalid_input_as_structural(make):
+    with pytest.raises(StructuralError):
+        insert_xor_keygates(make(), ["a"], (0,))
+    with pytest.raises(StructuralError):
+        insert_mux_keygates(make(), ["a"], (0,), dummy_policy="constant")
+
+
+@pytest.mark.parametrize("strategy", SELECTION_STRATEGIES)
+@settings(derandomize=True, deadline=None, max_examples=25, database=None)
+@given(n_inputs=st.integers(2, 10), n_gates=st.integers(3, 40),
+       seed=st.integers(0, 10**6), k=st.integers(1, 6))
+def test_correct_key_restores_the_original(strategy, n_inputs, n_gates, seed, k):
+    original = random_netlist(n_inputs, n_gates, seed)
+    k = min(k, len(eligible_nets(original)))
+    want = truth_tables(original)
+    for keygate, dummy in itertools.product(KEYGATE_POLICIES, DUMMY_POLICIES):
+        cfg = LockConfig(k, keygate_policy=keygate, selection=strategy,
+                         dummy_policy=dummy, seed=seed)
+        try:
+            locked, key = lock(original, cfg)
+        except (SelectionError, DummyError):
+            continue  # too few path-disjoint nets, or no cone-safe dummy
+        got = truth_tables(apply_key(locked, key), original.primary_inputs)
+        assert [got[po] for po in original.primary_outputs] == [
+            want[po] for po in original.primary_outputs], (keygate, dummy)
 
 
 def test_lock_rejects_zero_key():
