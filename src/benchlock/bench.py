@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from typing import Callable
 
 from .errors import BenchParseError, DialectError, StructuralError, UnsupportedGate
-from .netlist import Gate, GateKind, Netlist
+from .netlist import GATE_KINDS, Gate, GateKind, Netlist
 
 _INPUT_RE = re.compile(r"^\s*(INPUT|OUTPUT)\s*\(\s*([A-Za-z0-9_]+)\s*\)\s*$", re.I)
 _GATE_RE = re.compile(
@@ -62,31 +62,30 @@ def parse_bench_document(text: str, name: str = "bench") -> BenchDocument:
         line = raw.strip()
         if not line:
             continue
-        if line.startswith("#"):
+        if line[0] == "#":
             if in_header:
                 comments.append(line[1:].strip())
             continue
         in_header = False
-        m = _INPUT_RE.match(raw)
-        if m:
+        # a line without '=' cannot match _GATE_RE, one with it not _INPUT_RE
+        if "=" not in line:
+            m = _INPUT_RE.match(raw)
+            if m is None:
+                raise _syntax_error(raw, lineno)
             (inputs if m.group(1).upper() == "INPUT" else outputs).append(m.group(2))
             continue
         m = _GATE_RE.match(raw)
-        if m:
-            out, kind_token, args = m.groups()
-            token = kind_token.upper()
-            try:
-                kind = GateKind.from_name(token)
-            except ValueError:
-                what = "sequential" if token in _SEQUENTIAL else "unsupported"
-                raise UnsupportedGate(
-                    f"{what} gate kind '{kind_token}'",
-                    lineno,
-                    raw.index(kind_token) + 1,
-                ) from None
-            gates.append(Gate(out, kind, [a.strip() for a in args.split(",")]))
-            continue
-        raise _syntax_error(raw, lineno)
+        if m is None:
+            raise _syntax_error(raw, lineno)
+        out, kind_token, args = m.groups()
+        entry = GATE_KINDS.get(kind_token.upper())
+        if entry is None:
+            what = "sequential" if kind_token.upper() in _SEQUENTIAL else "unsupported"
+            raise UnsupportedGate(
+                f"{what} gate kind '{kind_token}'", lineno, raw.index(kind_token) + 1
+            )
+        # names hold no whitespace, so dropping it all leaves name,name,...
+        gates.append(Gate(out, entry[0], "".join(args.split()).split(",")))
 
     netlist = Netlist(name, inputs, outputs, gates)
     diags = netlist.validate()

@@ -175,14 +175,15 @@ def layered_netlist(
         everything.extend(layer)
 
     pos = sorted(rng.sample(previous, min(n_outputs, len(previous))))
-    netlist = Netlist(name or f"layered_s{seed}", pis, pos, gates)
 
-    # drop logic no output observes
+    # drop logic no output observes: one backward pass over the gates,
+    # which are in topological order
     keep = set(pos)
-    for po in pos:
-        keep |= netlist.tfi(po)
+    for gate in reversed(gates):
+        if gate.output in keep:
+            keep.update(gate.inputs)
     pruned = [g for g in gates if g.output in keep]
-    return Netlist(netlist.name, pis, pos, pruned)
+    return Netlist(name or f"layered_s{seed}", pis, pos, pruned)
 
 
 def c432_scale(seed: int = 433) -> Netlist:

@@ -17,7 +17,7 @@ from typing import Callable, Container, Iterable, Mapping
 
 from .errors import StructuralError, UnknownNet
 
-NET_NAME_RE = re.compile(r"^[A-Za-z0-9_]+$")
+NET_NAME_RE = re.compile(r"[A-Za-z0-9_]+")  # use with fullmatch
 
 
 class GateKind(Enum):
@@ -31,19 +31,25 @@ class GateKind(Enum):
     BUFF = "BUFF"
     MUX = "MUX"
 
-    @classmethod
-    def from_name(cls, name: str) -> "GateKind":
-        token = name.strip().upper()
-        if token == "BUF":
-            token = "BUFF"
-        return cls(token)
-
     def arity_ok(self, n: int) -> bool:
-        if self in (GateKind.NOT, GateKind.BUFF):
-            return n == 1
-        if self is GateKind.MUX:
-            return n == 3
-        return n >= 2
+        exact = GATE_KINDS[self.value][1]
+        return n == exact if exact else n >= 2
+
+
+# Every gate kind by its upper-case name, with its exact input count (0:
+# two or more). BUF is an alias of BUFF.
+GATE_KINDS: dict[str, tuple[GateKind, int]] = {
+    "AND": (GateKind.AND, 0),
+    "NAND": (GateKind.NAND, 0),
+    "OR": (GateKind.OR, 0),
+    "NOR": (GateKind.NOR, 0),
+    "XOR": (GateKind.XOR, 0),
+    "XNOR": (GateKind.XNOR, 0),
+    "NOT": (GateKind.NOT, 1),
+    "BUFF": (GateKind.BUFF, 1),
+    "BUF": (GateKind.BUFF, 1),
+    "MUX": (GateKind.MUX, 3),
+}
 
 
 @dataclass(frozen=True)
@@ -143,6 +149,7 @@ class Netlist:
                 self._driver[gate.output] = gate
 
         self._loads: dict[str, list[tuple[int, int]]] | None = None
+        self._diags: tuple[str, ...] | None = None
         self._sorted: tuple[tuple[Gate, ...], tuple[Gate, ...]] | None = None
         self._po_slots: Counter[str] | None = None
         self._reads_unknown: bool | None = None  # a gate reads an unknown name
@@ -186,11 +193,23 @@ class Netlist:
     # -- validation ----------------------------------------------------------
 
     def validate(self) -> list[str]:
-        """Return all invariant violations; an empty list means valid."""
+        """Return all invariant violations; an empty list means valid.
+
+        Computed once per netlist; each call returns a fresh list.
+        """
+        if self._diags is None:
+            self._diags = tuple(self._diagnostics())
+        return list(self._diags)
+
+    def _diagnostics(self) -> list[str]:
         diags: list[str] = []
-        for net in self.nets:
-            if not NET_NAME_RE.match(net):
-                diags.append(f"bad net name: {net!r}")
+        driver = self._driver
+        if not (all(driver) and NET_NAME_RE.fullmatch("".join(driver))):
+            diags.extend(
+                f"bad net name: {net!r}"
+                for net in driver
+                if not NET_NAME_RE.fullmatch(net)
+            )
         for net in self._redefined:
             diags.append(f"multi-driver: net '{net}' has more than one driver")
         for gate in self.gates:
@@ -200,12 +219,12 @@ class Netlist:
                     f"with {len(gate.inputs)} input(s)"
                 )
             for inp in gate.inputs:
-                if inp not in self._driver:
+                if inp not in driver:
                     diags.append(
                         f"undriven: gate '{gate.output}' reads unknown net '{inp}'"
                     )
         for po in self.primary_outputs:
-            if po not in self._driver:
+            if po not in driver:
                 diags.append(f"undriven: primary output '{po}' names no net")
         diags.extend(self._cycle_diagnostics())
         return diags
@@ -236,6 +255,10 @@ class Netlist:
         """
         if self._sorted is not None:
             return self._sorted
+        if not self._redefined and self._in_list_order():
+            # the heap would pop every gate in list order
+            self._sorted = (self.gates, ())
+            return self._sorted
         pending = []
         missing = [0] * len(self.gates)
         waiting: dict[str, list[int]] = {}
@@ -264,6 +287,19 @@ class Netlist:
         leftover = tuple(g for gi, g in enumerate(self.gates) if not done[gi])
         self._sorted = (tuple(order), leftover)
         return self._sorted
+
+    def _in_list_order(self) -> bool:
+        """Whether each gate reads only primary inputs, unknown names and
+        outputs of earlier gates."""
+        driver = self._driver
+        placed = set(self.primary_inputs)
+        for gate in self.gates:
+            if not placed.issuperset(gate.inputs) and any(
+                i in driver and i not in placed for i in gate.inputs
+            ):
+                return False
+            placed.add(gate.output)
+        return True
 
     def topo_order(self) -> tuple[Gate, ...]:
         """Gates ordered so each appears after the drivers of its inputs."""

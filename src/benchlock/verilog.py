@@ -28,8 +28,12 @@ _PRIMITIVES = {
 }
 
 _IDENT = r"[A-Za-z_][A-Za-z0-9_]*"
-_IDENT_RE = re.compile(rf"^{_IDENT}$")
+_IDENT_RE = re.compile(_IDENT)  # use with fullmatch
+_IDENT_LIST_RE = re.compile(rf"\s*{_IDENT}\s*(?:,\s*{_IDENT}\s*)*")
 _INSTANCE_RE = re.compile(rf"(?:({_IDENT})\s*)?\(\s*([^()]*?)\s*\)")
+# matches what \bmodule\b matches; the leading literal lets the scan skip
+# to each "module" instead of trying a word boundary at every character
+_MODULE_RE = re.compile(r"module(?<=\bmodule)\b")
 
 
 def _strip_comments(text: str) -> str:
@@ -43,34 +47,36 @@ def _strip_comments(text: str) -> str:
 
 
 def _split_statements(text: str) -> list[tuple[int, str]]:
-    """Split on ';', keeping the 1-based line each statement starts on."""
+    """Split on ';', keeping the 1-based line each statement starts on.
+    Whitespace runs collapse to one space (str.split splits on exactly
+    the characters ``\\s`` matches)."""
     statements = []
     line = 1
     for chunk in text.split(";"):
-        stripped = chunk.strip()
-        if stripped:
-            start = line + chunk[: chunk.index(stripped[0])].count("\n")
-            statements.append((start, re.sub(r"\s+", " ", stripped)))
+        body = chunk.lstrip()
+        if body:
+            start = line + chunk.count("\n", 0, len(chunk) - len(body))
+            statements.append((start, " ".join(body.split())))
         line += chunk.count("\n")
     return statements
 
 
 def _names(listing: str, lineno: int, what: str) -> list[str]:
-    names = []
-    for item in listing.split(","):
-        name = item.strip()
-        if "[" in name or "]" in name:
-            raise UnsupportedConstruct(f"buses are not supported in {what}", lineno)
-        if not _IDENT_RE.match(name):
-            raise UnsupportedConstruct(f"bad identifier {name!r} in {what}", lineno)
-        names.append(name)
-    return names
+    if not _IDENT_LIST_RE.fullmatch(listing):
+        for item in listing.split(","):
+            name = item.strip()
+            if "[" in name or "]" in name:
+                raise UnsupportedConstruct(f"buses are not supported in {what}", lineno)
+            if not _IDENT_RE.fullmatch(name):
+                raise UnsupportedConstruct(f"bad identifier {name!r} in {what}", lineno)
+    # identifiers hold no whitespace, so dropping it all leaves name,name,...
+    return "".join(listing.split()).split(",")
 
 
 def parse_verilog_subset(text: str, name: str | None = None) -> Netlist:
     """Parse a structural-primitive Verilog module into a netlist."""
     text = _strip_comments(text)
-    if len(re.findall(r"\bmodule\b", text)) > 1:
+    if len(_MODULE_RE.findall(text)) > 1:
         raise UnsupportedConstruct("only a single module is supported")
 
     module_name = name

@@ -1,5 +1,7 @@
+import heapq
 import itertools
 import random
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -63,6 +65,149 @@ def test_missing_output_diagnostic():
 def test_bad_net_name_diagnostic():
     diags = net([], ["a b"], ["a b"]).validate()
     assert any("bad net name" in d for d in diags)
+
+
+def test_net_name_with_a_trailing_newline_is_bad():
+    # '$' also matches before a final newline; such a name emits a file
+    # that the .bench reader rejects
+    n = net([Gate("y", GateKind.AND, ("a\n", "b"))], ["a\n", "b"], ["y"])
+    assert n.validate() == ["bad net name: 'a\\n'"]
+
+
+def test_validate_returns_a_fresh_list():
+    n = net([Gate("y", GateKind.NOT, ("a", "b"))], ["a", "b"], ["y"])
+    first = n.validate()
+    first.append("tampered")
+    first.clear()
+    assert n.validate() == ["bad arity: gate 'y' = NOT with 2 input(s)"]
+    assert n.validate() is not n.validate()
+
+
+# Reference implementations: the heap-ordered Kahn sort and the per-net
+# validation, as they were written before validation was cached.
+
+_NAME = re.compile(r"[A-Za-z0-9_]+")
+
+
+def _reference_drivers(n):
+    driver, redefined = {}, []
+    for pi in n.primary_inputs:
+        if pi in driver:
+            redefined.append(pi)
+        else:
+            driver[pi] = None
+    for gate in n.gates:
+        if gate.output in driver:
+            redefined.append(gate.output)
+        else:
+            driver[gate.output] = gate
+    return driver, redefined
+
+
+def _reference_kahn(n):
+    driver, _ = _reference_drivers(n)
+    pending, missing, waiting = [], [0] * len(n.gates), {}
+    placed = {net for net, d in driver.items() if d is None}
+    for gi, gate in enumerate(n.gates):
+        need = 0
+        for inp in set(gate.inputs):
+            if inp in placed or inp not in driver:
+                continue
+            need += 1
+            waiting.setdefault(inp, []).append(gi)
+        missing[gi] = need
+        if need == 0:
+            heapq.heappush(pending, gi)
+    order, done = [], [False] * len(n.gates)
+    while pending:
+        gi = heapq.heappop(pending)
+        done[gi] = True
+        order.append(n.gates[gi])
+        for wi in waiting.get(n.gates[gi].output, ()):
+            missing[wi] -= 1
+            if missing[wi] == 0:
+                heapq.heappush(pending, wi)
+    return tuple(order), tuple(g for gi, g in enumerate(n.gates) if not done[gi])
+
+
+def _reference_validate(n):
+    driver, redefined = _reference_drivers(n)
+    diags = [f"bad net name: {net!r}" for net in driver if not _NAME.fullmatch(net)]
+    diags += [f"multi-driver: net '{net}' has more than one driver" for net in redefined]
+    for gate in n.gates:
+        k, arity = gate.kind, len(gate.inputs)
+        if k in (GateKind.NOT, GateKind.BUFF):
+            ok = arity == 1
+        elif k is GateKind.MUX:
+            ok = arity == 3
+        else:
+            ok = arity >= 2
+        if not ok:
+            diags.append(f"bad arity: gate '{gate.output}' = {k.value} "
+                         f"with {arity} input(s)")
+        diags += [f"undriven: gate '{gate.output}' reads unknown net '{inp}'"
+                  for inp in gate.inputs if inp not in driver]
+    diags += [f"undriven: primary output '{po}' names no net"
+              for po in n.primary_outputs if po not in driver]
+    _, leftover = _reference_kahn(n)
+    if leftover:
+        member = {g.output for g in leftover}
+        seen, net_ = [], leftover[0].output
+        while net_ not in seen:
+            seen.append(net_)
+            gate = driver.get(net_)
+            if gate is None:
+                break
+            net_ = next((i for i in gate.inputs if i in member), gate.inputs[0])
+        diags.append(f"cycle: combinational loop through net '{net_}'")
+    return diags
+
+
+@st.composite
+def shaped_netlists(draw):
+    """Small netlists that are sorted, shuffled, cyclic, multi-driven, read
+    unknown names, or carry bad names and arities, in any mix."""
+    pis = [f"i{j}" for j in range(draw(st.integers(0, 4)))]
+    outs = [f"g{j}" for j in range(draw(st.integers(0, 10)))]
+    back_edges = draw(st.booleans())
+    extras = draw(st.lists(st.sampled_from(["ghost", "a b", "x\n", ""]), max_size=2))
+    gates = []
+    for j, out in enumerate(outs):
+        avail = pis + outs[: len(outs) if back_edges else j] + extras
+        if not avail:
+            avail = [out]
+        ins = draw(st.lists(st.sampled_from(avail), min_size=1, max_size=4))
+        gates.append(Gate(out, draw(st.sampled_from(list(GateKind))), ins))
+    if gates and draw(st.booleans()):
+        at = draw(st.integers(0, len(gates) - 1))
+        clash = draw(st.sampled_from(pis + outs + ["a b", "x\n"]))
+        gates[at] = Gate(clash, gates[at].kind, gates[at].inputs)
+    if draw(st.booleans()):
+        gates = draw(st.permutations(gates))
+    pos = draw(st.lists(st.sampled_from(pis + outs + ["nope"]), max_size=3))
+    return pis, pos, gates
+
+
+@settings(derandomize=True, deadline=None, max_examples=300, database=None)
+@given(shape=shaped_netlists(), validate_first=st.booleans())
+def test_order_and_validation_match_the_references(shape, validate_first):
+    pis, pos, gates = shape
+    n = net(gates, pis, pos)
+    want = _reference_validate(n)
+    if validate_first:
+        assert n.validate() == want
+    order, leftover = _reference_kahn(n)
+    assert n._kahn() == (order, leftover)
+    if leftover:
+        with pytest.raises(StructuralError) as exc:
+            n.topo_order()
+        assert exc.value.diagnostics == want[-1:]
+    else:
+        assert n.topo_order() == order
+    got = n.validate()
+    assert got == want
+    got.append("tampered")
+    assert n.validate() == want
 
 
 # -- topo_order -----------------------------------------------------------------
