@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import concurrent.futures
 import datetime
+import functools
 import json
 import sys
 from pathlib import Path
@@ -476,9 +477,14 @@ def _emit_error(exc: Exception, as_json: bool) -> None:
         print(f"benchlock: error: {exc}", file=sys.stderr)
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser, built on first use and reused by later calls."""
+    return build_parser()
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     as_json = getattr(args, "json_errors", False)
     try:
         return _COMMANDS[args.command](args)

@@ -480,15 +480,15 @@ def vector_assignment(order: Iterable[str], j: int) -> dict[str, int]:
 def _fold_constants(
     kind: GateKind, ins: list[str], vals: list[int | None]
 ) -> tuple[int | None, GateKind | None, list[str]]:
-    """Partial-evaluate one gate. Returns (constant, kind, inputs): either
-    a constant output, or a simplified gate."""
+    """Partial-evaluate one gate with some inputs constant and at least
+    one not (so never a one-input gate; ``cofactor`` evaluates a gate whose
+    inputs are all constant). Returns (constant, kind, inputs): either a
+    constant output, or a simplified gate."""
     if kind in (GateKind.AND, GateKind.NAND):
         flip = kind is GateKind.NAND
         if 0 in vals:
             return (1 if flip else 0), None, []
         rest = [i for i, v in zip(ins, vals) if v is None]
-        if not rest:
-            return (0 if flip else 1), None, []
         if len(rest) == 1:
             return None, (GateKind.NOT if flip else GateKind.BUFF), rest
         return None, kind, rest
@@ -497,8 +497,6 @@ def _fold_constants(
         if 1 in vals:
             return (0 if flip else 1), None, []
         rest = [i for i, v in zip(ins, vals) if v is None]
-        if not rest:
-            return (1 if flip else 0), None, []
         if len(rest) == 1:
             return None, (GateKind.NOT if flip else GateKind.BUFF), rest
         return None, kind, rest
@@ -510,19 +508,9 @@ def _fold_constants(
                 rest.append(i)
             else:
                 parity ^= v
-        if not rest:
-            return parity, None, []
         if len(rest) == 1:
             return None, (GateKind.NOT if parity else GateKind.BUFF), rest
         return None, (GateKind.XNOR if parity else GateKind.XOR), rest
-    if kind is GateKind.NOT:
-        if vals[0] is None:
-            return None, kind, ins
-        return 1 - vals[0], None, []
-    if kind is GateKind.BUFF:
-        if vals[0] is None:
-            return None, kind, ins
-        return vals[0], None, []
     # MUX(select, in0, in1)
     s, a, b = vals
     if s is not None:
@@ -559,6 +547,9 @@ def cofactor(
             gates.append(gate)
             continue
         vals = [const.get(i) for i in gate.inputs]
+        if None not in vals:
+            const[gate.output] = eval_gate(gate.kind, vals)
+            continue
         value, kind, ins = _fold_constants(gate.kind, list(gate.inputs), vals)
         if value is None:
             gates.append(Gate(gate.output, kind, ins))

@@ -10,6 +10,18 @@ one decision level each. A falsified assumption means unsat under those
 assumptions only; a conflict at level 0 leaves the solver unsat for good.
 Learnt clauses, activities and saved phases carry over from run to run.
 
+Decisions pop a binary heap of (-activity, variable) entries kept up
+lazily: a bump or a backtrack pushes a fresh entry instead of moving the
+old one, and an entry whose variable is assigned is dropped when it pops.
+Invariant: every unassigned variable has an entry. ``heap_key[v]`` holds
+the key of v's newest entry while that entry is in the heap, and a push
+that would repeat it is skipped, so a backtrack adds no copy of an entry
+that is already there. Entries are totally ordered tuples, so the pop
+order depends only on which entries are present, and skipping copies
+does not change which variable a decision picks. A rescale of the
+activities scales the heap keys with them, keeping the order between
+entries pushed before and after it.
+
 ``solve`` is the single entry point. Given a reusable Solver it adds only
 the clauses that solver has not loaded yet; otherwise it starts a fresh
 one. A hit on the time budget raises SolverTimeout, distinct from an
@@ -34,6 +46,7 @@ _RESTART_BASE = 128
 _ACTIVITY_DECAY = 0.95
 _ACTIVITY_LIMIT = 1e100
 _DEADLINE_STRIDE = 16  # conflicts or decisions between deadline checks
+_NO_ENTRY = 1.0  # heap_key while a variable has no newest entry in the heap; keys are <= 0
 
 
 @dataclass
@@ -95,12 +108,12 @@ class Solver:
         self.stats = SolverStats()
         self.ok = True  # False once the clauses alone are unsat
         self.loaded = 0
-        self.clauses: list[list[int]] = []
-        self.watches: list[list[int]] = [[], []]
+        # watches[code]: the clauses (literal-code lists) watching code
+        self.watches: list[list[list[int]]] = [[], []]
         # vals[code]: 0 unassigned, 1 true, 2 false
         self.vals = [0, 0]
         self.level = [0]
-        self.reason = [-1]
+        self.reason: list[list[int] | None] = [None]  # implying clause
         self.trail: list[int] = []
         self.trail_lim: list[int] = []
         self.qhead = 0
@@ -109,6 +122,9 @@ class Solver:
         self.phase = [False]
         self.seen = [False]
         self.heap: list[tuple[float, int]] = []
+        # heap_key[v]: key of v's newest heap entry while it is in the heap
+        # (see the module docstring)
+        self.heap_key = [_NO_ENTRY]
         self.queued = 0  # variables 1..queued have entered the heap
 
     # -- incremental interface ---------------------------------------------
@@ -121,10 +137,11 @@ class Solver:
         self.watches.extend([] for _ in range(2 * extra))
         self.vals.extend([0] * (2 * extra))
         self.level.extend([0] * extra)
-        self.reason.extend([-1] * extra)
+        self.reason.extend([None] * extra)
         self.activity.extend([0.0] * extra)
         self.phase.extend([False] * extra)
         self.seen.extend([False] * extra)
+        self.heap_key.extend([_NO_ENTRY] * extra)
         self.n_vars = n_vars
 
     def add_clauses(self, clauses: Iterable[Iterable[int]]) -> None:
@@ -149,28 +166,28 @@ class Solver:
                     self._check_deadline()
                 if not self.ok:
                     return
-                codes: list[int] = []
+                free: list[int] = []
+                satisfied = False
                 for lit in lits:
                     code = 2 * lit if lit > 0 else 1 - 2 * lit
                     if not 1 < code <= top:
                         raise CnfError(f"literal {lit} out of range")
                     val = vals[code]
                     if not val:
-                        codes.append(code)
+                        free.append(code)
                     elif val == 1:
-                        break
+                        satisfied = True  # the rest are still range-checked
+                if satisfied:
+                    pass  # true at level 0: nothing to add
+                elif len(free) > 1:
+                    watches[free[0]].append(free)
+                    watches[free[1]].append(free)
+                    for c in free:
+                        activity[c >> 1] += 1.0
+                elif free:
+                    self._enqueue(free[0], None)
                 else:
-                    if len(codes) > 1:
-                        ci = len(self.clauses)
-                        self.clauses.append(codes)
-                        watches[codes[0]].append(ci)
-                        watches[codes[1]].append(ci)
-                        for c in codes:
-                            activity[c >> 1] += 1.0
-                    elif codes:
-                        self._enqueue(codes[0], -1)
-                    else:
-                        self.ok = False
+                    self.ok = False
                 loaded += 1
         finally:
             self.loaded = loaded
@@ -199,69 +216,99 @@ class Solver:
 
     # -- core mechanics -----------------------------------------------------
 
-    def _enqueue(self, code: int, reason_ci: int) -> None:
+    def _enqueue(self, code: int, reason: list[int] | None) -> None:
         self.vals[code] = 1
         self.vals[code ^ 1] = 2
         v = code >> 1
         self.level[v] = len(self.trail_lim)
-        self.reason[v] = reason_ci
+        self.reason[v] = reason
         self.phase[v] = not (code & 1)
         self.trail.append(code)
 
-    def _propagate(self) -> int:
-        """Propagate until fixpoint; return conflicting clause index or -1."""
+    def _propagate(self) -> list[int] | None:
+        """Propagate until fixpoint; return the conflicting clause or None.
+
+        Implied literals are assigned inline (the body of ``_enqueue``).
+        A clause's watched literals sit in slots 0 and 1; the falsified one
+        is moved to slot 1 and, when a replacement watch is found, traded
+        with it.
+        """
         vals = self.vals
-        clauses = self.clauses
         watches = self.watches
-        while self.qhead < len(self.trail):
-            lit = self.trail[self.qhead]
-            self.qhead += 1
-            self.stats.propagations += 1
-            falsed = lit ^ 1
-            ws = watches[falsed]
-            keep: list[int] = []
-            i = 0
-            n_ws = len(ws)
-            while i < n_ws:
-                ci = ws[i]
-                i += 1
-                lits = clauses[ci]
-                if lits[0] == falsed:
-                    lits[0], lits[1] = lits[1], lits[0]
-                first = lits[0]
-                if vals[first] == 1:
-                    keep.append(ci)
-                    continue
-                moved = False
-                for k in range(2, len(lits)):
-                    if vals[lits[k]] != 2:
-                        lits[1], lits[k] = lits[k], lits[1]
-                        watches[lits[1]].append(ci)
-                        moved = True
-                        break
-                if moved:
-                    continue
-                keep.append(ci)
-                if vals[first] == 2:
-                    keep.extend(ws[i:])
-                    watches[falsed] = keep
-                    return ci
-                self._enqueue(first, ci)
-            watches[falsed] = keep
-        return -1
+        trail = self.trail
+        level, reason, phase = self.level, self.reason, self.phase
+        depth = len(self.trail_lim)
+        start = qhead = self.qhead
+        try:
+            while qhead < len(trail):
+                falsed = trail[qhead] ^ 1
+                qhead += 1
+                ws = watches[falsed]
+                keep: list[list[int]] = []
+                watches[falsed] = keep
+                visits = iter(ws)
+                for lits in visits:
+                    first = lits[0]
+                    if first == falsed:
+                        first = lits[0] = lits[1]
+                        lits[1] = falsed
+                    if vals[first] == 1:
+                        keep.append(lits)
+                        continue
+                    for k in range(2, len(lits)):
+                        other = lits[k]
+                        if vals[other] != 2:
+                            lits[1] = other
+                            lits[k] = falsed
+                            watches[other].append(lits)
+                            break
+                    else:
+                        keep.append(lits)
+                        if vals[first] == 2:
+                            keep.extend(visits)
+                            return lits
+                        vals[first] = 1
+                        vals[first ^ 1] = 2
+                        v = first >> 1
+                        level[v] = depth
+                        reason[v] = lits
+                        phase[v] = not (first & 1)
+                        trail.append(first)
+            return None
+        finally:
+            self.qhead = qhead
+            self.stats.propagations += qhead - start
+
+    def _push(self, v: int) -> None:
+        """Give ``v`` a heap entry at its current activity unless its
+        newest entry, still in the heap, already has that key."""
+        key = -self.activity[v]
+        if self.heap_key[v] != key:
+            self.heap_key[v] = key
+            heappush(self.heap, (key, v))
 
     def _bump(self, v: int) -> None:
         act = self.activity[v] + self.var_inc
         self.activity[v] = act
         if act > _ACTIVITY_LIMIT:
-            scale = 1e-100
-            for u in range(1, self.n_vars + 1):
-                self.activity[u] *= scale
-            self.var_inc *= scale
-            act = self.activity[v]
-        heappush(self.heap, (-act, v))
+            self._rescale()
+        self._push(v)
 
-    def _analyze(self, confl: int) -> tuple[list[int], int]:
+    def _rescale(self) -> None:
+        """Scale activities, their increment and every heap key alike, so
+        entries pushed before the rescale keep their place among those
+        pushed after it."""
+        scale = 1e-100
+        activity, heap_key = self.activity, self.heap_key
+        for u in range(1, self.n_vars + 1):
+            activity[u] *= scale
+            if heap_key[u] != _NO_ENTRY:
+                heap_key[u] *= scale
+        self.var_inc *= scale
+        self.heap = [(key * scale, v) for key, v in self.heap]
+        heapify(self.heap)  # rounding can tie keys that were ordered
+
+    def _analyze(self, confl: list[int]) -> tuple[list[int], int]:
         """First-UIP conflict analysis: (learned clause codes, backtrack level)."""
         seen = self.seen
         level = self.level
@@ -270,7 +317,7 @@ class Solver:
         p = -1
         index = len(self.trail)
         cur_level = len(self.trail_lim)
-        lits = self.clauses[confl]
+        lits = confl
         start = 0
         while True:
             for j in range(start, len(lits)):
@@ -293,7 +340,7 @@ class Solver:
             path -= 1
             if path == 0:
                 break
-            lits = self.clauses[self.reason[v]]
+            lits = self.reason[v]
             start = 1
         for q in learnt:
             seen[q >> 1] = False
@@ -307,12 +354,12 @@ class Solver:
 
     def _backtrack(self, target: int) -> None:
         limit = self.trail_lim[target]
-        for code in reversed(self.trail[limit:]):
-            self.vals[code] = 0
-            self.vals[code ^ 1] = 0
-            v = code >> 1
-            heappush(self.heap, (-self.activity[v], v))
-        del self.trail[limit:]
+        trail = self.trail
+        vals = self.vals
+        for code in trail[limit:]:
+            vals[code] = vals[code ^ 1] = 0
+            self._push(code >> 1)
+        del trail[limit:]
         del self.trail_lim[target:]
         self.qhead = limit
 
@@ -324,20 +371,27 @@ class Solver:
             vals, activity = self.vals, self.activity
             self.heap = [(-activity[v], v) for v in range(1, n + 1) if not vals[2 * v]]
             heapify(self.heap)
+            self.heap_key = [_NO_ENTRY] * (n + 1)
+            for key, v in self.heap:
+                self.heap_key[v] = key
         else:
             for v in range(self.queued + 1, n + 1):
-                heappush(self.heap, (-self.activity[v], v))
+                self._push(v)
         self.queued = n
 
-    def _decide(self) -> bool:
-        while self.heap:
-            _, v = heappop(self.heap)
-            if self.vals[2 * v] == 0:
+    def _decide(self) -> None:
+        heap, heap_key, vals = self.heap, self.heap_key, self.vals
+        while heap:
+            key, v = heappop(heap)
+            if heap_key[v] == key:
+                heap_key[v] = _NO_ENTRY
+            if not vals[2 * v]:
                 self.stats.decisions += 1
                 self.trail_lim.append(len(self.trail))
-                self._enqueue(2 * v if self.phase[v] else 2 * v + 1, -1)
-                return True
-        return False
+                self._enqueue(2 * v if self.phase[v] else 2 * v + 1, None)
+                return
+        # the invariant broke: with no decision to make, _search would spin
+        raise AssertionError("decision heap lost an unassigned variable")
 
     def _check_deadline(self) -> None:
         if self.deadline is not None and time.monotonic() > self.deadline:
@@ -352,7 +406,7 @@ class Solver:
         conflicts_here = 0
         while True:
             confl = self._propagate()
-            if confl >= 0:
+            if confl is not None:
                 stats.conflicts += 1
                 conflicts_here += 1
                 if not self.trail_lim:
@@ -361,13 +415,11 @@ class Solver:
                 learnt, back = self._analyze(confl)
                 self._backtrack(back)
                 if len(learnt) == 1:
-                    self._enqueue(learnt[0], -1)
+                    self._enqueue(learnt[0], None)
                 else:
-                    ci = len(self.clauses)
-                    self.clauses.append(learnt)
-                    self.watches[learnt[0]].append(ci)
-                    self.watches[learnt[1]].append(ci)
-                    self._enqueue(learnt[0], ci)
+                    self.watches[learnt[0]].append(learnt)
+                    self.watches[learnt[1]].append(learnt)
+                    self._enqueue(learnt[0], learnt)
                 self.var_inc /= _ACTIVITY_DECAY
                 if not stats.conflicts % _DEADLINE_STRIDE:
                     self._check_deadline()
@@ -385,7 +437,7 @@ class Solver:
                     return "unsat"
                 self.trail_lim.append(len(self.trail))
                 if vals[code] == 0:
-                    self._enqueue(code, -1)
+                    self._enqueue(code, None)
                     break
             else:
                 if len(self.trail) == self.n_vars:

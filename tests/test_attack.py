@@ -1,5 +1,7 @@
 import gc
+import hashlib
 import itertools
+import json
 import random
 import time
 
@@ -183,6 +185,38 @@ def test_attack_is_deterministic():
     assert first.dips == second.dips
     assert first.solver_stats == second.solver_stats
     assert first.recovered_key == second.recovered_key
+
+
+# (config, lock seed) -> (DIPs, sha256 of the DIP list, recovered key,
+# oracle queries, solver stats) on c432_scale(): the attack's path, which a
+# solver speed-up must leave as it is
+ATTACK_GOLDENS = [
+    (dict(key_size=12, keygate_policy="xor_only"), 1,
+     (5, "0ee2cbe6e4b4854b", "110100100100", 5,
+      {"decisions": 493, "conflicts": 80, "propagations": 7262, "restarts": 0})),
+    (dict(key_size=12, keygate_policy="xor_only"), 2,
+     (9, "dfa4f5ee37c9eb81", "111101011010", 9,
+      {"decisions": 774, "conflicts": 90, "propagations": 10357, "restarts": 0})),
+    (dict(key_size=10, preset="sat_hard"), 1,
+     (13, "385c1837fe191ad1", "0101000001", 13,
+      {"decisions": 988, "conflicts": 118, "propagations": 15023, "restarts": 0})),
+    (dict(key_size=10, preset="sat_hard"), 2,
+     (12, "6eb920ee5b61a23b", "1111010110", 12,
+      {"decisions": 889, "conflicts": 88, "propagations": 11103, "restarts": 0})),
+]
+
+
+@pytest.mark.parametrize("config,seed,want", ATTACK_GOLDENS)
+def test_attack_path_is_pinned(config, seed, want):
+    big = c432_scale()
+    locked, _ = lock(big, LockConfig(seed=seed, **config))
+    result = sat_attack(locked, Oracle(big))
+    assert result.status == "key_recovered"
+    dips = hashlib.sha256(json.dumps(result.dips, sort_keys=True).encode()).hexdigest()
+    assert (
+        result.iterations, dips[:16], result.recovered_key.to_string(),
+        result.oracle_queries, result.solver_stats.as_dict(),
+    ) == want
 
 
 def test_attack_constant_output_contradicting_oracle_raises():

@@ -1,11 +1,14 @@
 import json
 import re
 import shlex
+import subprocess
+import sys
 from pathlib import Path
 
 import jsonschema
 import pytest
 
+import benchlock
 from benchlock.bench import emit_bench, parse_bench
 from benchlock.circuits import c17
 from benchlock.cli import _COMMANDS, build_parser, main
@@ -150,6 +153,43 @@ def test_pipeline_batch_jobs(tmp_path):
     assert rc == 0
     names = {p.name for p in outdir.iterdir()}
     assert "adder.report.json" in names and "cones.report.json" in names
+
+
+def test_calls_in_one_process_match_fresh_processes(tmp_path, monkeypatch, capsys):
+    # the parser is built once per process: a flag given to one call must
+    # not leak into the next, so each call's output matches a fresh process
+    calls = [
+        ["lock", "--input", "c17.bench", "--key-size", "4", "--seed", "3",
+         "--keygate", "mixed", "--dummy", "random-fn",
+         "--output", "a.bench", "--key-out", "a.key"],
+        ["lock", "--input", "c17.bench", "--key-size", "4",
+         "--output", "b.bench", "--key-out", "b.key"],
+        ["corrupt", "--locked", "b.bench", "--original", "c17.bench",
+         "--key", "b.key", "--wrong-keys", "3", "--inputs", "8"],
+    ]
+    here, fresh = tmp_path / "here", tmp_path / "fresh"
+    for d in (here, fresh):
+        d.mkdir()
+        (d / "c17.bench").write_text(emit_bench(c17()))
+    monkeypatch.chdir(here)
+    in_process = []
+    for argv in calls:
+        assert main(argv) == 0
+        in_process.append(capsys.readouterr().out)
+    src = str(Path(benchlock.__file__).resolve().parent.parent)
+    fresh_processes = [
+        subprocess.run(
+            [sys.executable, "-m", "benchlock.cli", *argv], cwd=fresh,
+            capture_output=True, text=True, check=True, timeout=60,
+            env={"PYTHONPATH": src},
+        ).stdout
+        for argv in calls
+    ]
+    assert in_process == fresh_processes
+    for name in ("a.bench", "a.key", "b.bench", "b.key"):
+        assert (here / name).read_bytes() == (fresh / name).read_bytes()
+    assert b"seed=3" in (here / "a.key").read_bytes()
+    assert b"seed=0" in (here / "b.key").read_bytes()
 
 
 def test_missing_file_is_usage_error(tmp_path):

@@ -222,6 +222,44 @@ def test_incremental_load_cut_short_by_timeout_resumes():
     assert out.status == "sat" and solver.loaded == len(cnf.clauses)
 
 
+def test_every_literal_is_range_checked_whatever_its_position():
+    # a literal already true at level 0 must not end the range check of its
+    # clause: [1, 99] is refused as [99, 1] is
+    solver = Solver()
+    solver.grow(2)
+    solver.add_clauses([[1]])
+    for clause in ([1, 99], [99, 1], [1, -3], [1, 0], [2, 1, 99]):
+        with pytest.raises(CnfError, match="out of range"):
+            solver.add_clauses([clause])
+    assert solver.loaded == 1
+
+
+def test_search_that_loses_a_decision_variable_raises(monkeypatch):
+    # a free variable missing from the decision heap leaves no decision to
+    # make: the search must raise rather than spin (the budget keeps a
+    # spinning search from hanging the test)
+    solver = Solver()
+    monkeypatch.setattr(solver, "_fill_heap", lambda: solver.heap.clear())
+    with pytest.raises(AssertionError, match="decision heap"):
+        solve(formula(3, [[1, 2, 3]]), timeout_ms=2000, solver=solver)
+
+
+def test_activity_rescale_keeps_the_decision_order():
+    # a rescale scales the heap keys too, so an entry pushed before it does
+    # not outrank a more active variable bumped after it
+    solver = Solver()
+    solver.grow(3)
+    solver._fill_heap()
+    solver.var_inc = 1e99
+    solver._bump(2)
+    solver.var_inc = 2e100
+    solver._bump(3)  # over the limit: everything is scaled by 1e-100
+    assert solver.activity[1:] == [0.0, 1e99 * 1e-100, 2e100 * 1e-100]
+    for _ in range(3):
+        solver._decide()
+    assert [code >> 1 for code in solver.trail] == [3, 2, 1]
+
+
 def test_reusable_solver_refuses_external_command():
     with pytest.raises(ValueError):
         solve(formula(1, [[1]]), solver=Solver(), external_command=["true"])
