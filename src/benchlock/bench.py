@@ -161,14 +161,14 @@ def emit_bench(
         if has_mux:
             netlist = lower_mux_gates(netlist)
 
-    st = netlist.stats()
     lines = [
         f"# {netlist.name}",
-        f"# {st.n_inputs} inputs  {st.n_outputs} outputs  {st.n_gates} gates",
+        f"# {len(netlist.primary_inputs)} inputs  {len(netlist.primary_outputs)} "
+        f"outputs  {len(netlist.gates)} gates",
     ]
     lines.extend(f"INPUT({pi})" for pi in netlist.primary_inputs)
     lines.extend(f"OUTPUT({po})" for po in netlist.primary_outputs)
     for gate in netlist.topo_order():
         args = ", ".join(gate.inputs)
-        lines.append(f"{gate.output} = {gate.kind.value}({args})")
+        lines.append(f"{gate.output} = {gate.kind._value_}({args})")
     return "\n".join(lines) + "\n"

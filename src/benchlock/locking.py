@@ -7,8 +7,9 @@ net and the key gate takes over the original name, so every sink keeps
 reading the name it always read. A primary-input target keeps its name
 (the PI list must survive locking); instead the key-gate output gets the
 fresh name and all sinks are rewired to it. Nets that are both a primary
-input and a primary output cannot be locked either way and are excluded
-from eligibility.
+input and a primary output cannot be locked either way, and a key gate on
+a net that no primary output depends on would lock nothing; both are
+excluded from eligibility.
 
 All randomness comes from Python's Mersenne Twister (``random.Random``)
 seeded per call; PRNG_NAME is echoed into reports so runs are pinned to
@@ -19,6 +20,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, replace
+from itertools import filterfalse
 
 from .errors import DummyError, LockError, SelectionError, StructuralError
 from .netlist import Gate, GateKind, Netlist, cofactor, fresh_name, reach
@@ -162,15 +164,19 @@ def generate_key(key_size: int, seed: int) -> Key:
 def eligible_nets(netlist: Netlist) -> list[str]:
     """Lockable nets in declaration order.
 
-    Every net qualifies except those that are both a primary input and a
-    primary output (no spot to splice a key gate without renaming a port).
+    A net qualifies when some primary output depends on it, found in one
+    backward pass over ``topo_order()`` (a key gate on any other net
+    would lock nothing), unless it is both a primary input and a primary
+    output (no spot to splice a key gate without renaming a port). The
+    netlist must be valid: a cycle raises StructuralError.
     """
     pos = set(netlist.primary_outputs)
-    return [
-        n
-        for n in netlist.nets
-        if not (netlist.is_primary_input(n) and n in pos)
-    ]
+    observed = set(pos)
+    for gate in reversed(netlist.topo_order()):
+        if gate.output in observed:
+            observed.update(gate.inputs)
+    observed.difference_update(pos.intersection(netlist.primary_inputs))
+    return [n for n in netlist.nets if n in observed]
 
 
 def select_nets(
@@ -262,59 +268,62 @@ def select_nets(
 class _Workbench:
     """Mutable gate list while key gates are spliced in.
 
-    Two live tables follow every ``append`` and ``splice``: ``driver``
-    (net -> index of its gate in ``gates``; primary inputs have none) and
-    ``readers`` (net -> indices of the gates reading it). Splicing looks
-    the target up in them instead of scanning the gate list, and a MUX
-    dummy walks only the target's cone on them.
+    Three live tables follow every ``append`` and ``splice``: ``driver``
+    (net -> index of its gate in ``gates``, None for a primary input; its
+    keys are the nets of ``snapshot()``), ``fanin`` (gate output -> its
+    input names) and ``readers`` (net -> output names of the gates reading
+    it, each once). Splicing looks the target up in them instead of
+    scanning the gate list, and a MUX dummy walks only the target's cone,
+    with ``reach`` on ``fanin`` and ``readers``. ``names`` lists the
+    original primary inputs, then gate outputs in gate order, the
+    candidate dummies in ``snapshot().nets`` order.
     """
 
     def __init__(self, netlist: Netlist, prefix: str):
         self.name = netlist.name
         self.pis = list(netlist.primary_inputs)
         self.pos = list(netlist.primary_outputs)
+        self.original_pis = tuple(netlist.primary_inputs)
+        self.names = list(self.original_pis)
         self.gates: list[Gate] = []
-        self.driver: dict[str, int] = {}
-        self.readers: dict[str, list[int]] = {}
+        self.driver: dict[str, int | None] = dict.fromkeys(self.pis)
+        self.fanin: dict[str, tuple[str, ...]] = {}
+        self.readers: dict[str, list[str]] = {}
         for gate in netlist.gates:
             self.append(gate)
-        self.original_pis = tuple(netlist.primary_inputs)
         self.prefix = prefix
-        self.taken = set(netlist.nets)  # the nets of snapshot(), kept in step
 
     def snapshot(self) -> Netlist:
         return Netlist(self.name, self.pis, self.pos, self.gates)
 
     def append(self, gate: Gate) -> None:
-        index = len(self.gates)
+        out = gate.output
+        self.driver[out] = len(self.gates)
         self.gates.append(gate)
-        self.driver[gate.output] = index
+        self.names.append(out)
+        self.fanin[out] = gate.inputs
         for inp in dict.fromkeys(gate.inputs):
-            self.readers.setdefault(inp, []).append(index)
+            self.readers.setdefault(inp, []).append(out)
 
     def fresh(self, base: str) -> str:
-        name = fresh_name(base, self.taken)
-        self.taken.add(name)
-        return name
+        """A name no net has yet; the caller drives it before the next
+        ``fresh``."""
+        return fresh_name(base, self.driver)
 
     def add_key_input(self, index: int) -> str:
         name = f"{self.prefix}{index}"
-        if name in self.taken:
+        if name in self.driver:
             raise LockError(f"net {name!r} already exists; refusing to lock")
-        self.taken.add(name)
+        self.driver[name] = None
         self.pis.append(name)
         return name
 
-    def cone(self, net: str) -> set[str]:
-        """Transitive fan-in and fan-out of ``net``, excluding ``net``."""
-        gates, driver, readers = self.gates, self.driver, self.readers
-        fanin = reach(
-            net, lambda n: gates[driver[n]].inputs if n in driver else ()
-        )
-        fanout = reach(
-            net, lambda n: (gates[gi].output for gi in readers.get(n, ()))
-        )
-        return fanin | fanout
+    def outside_cone(self, net: str) -> list[str]:
+        """``names`` outside the transitive fan-in and fan-out of ``net``
+        and other than ``net``, in ``names`` order."""
+        blocked = reach(net, self.fanin) | reach(net, self.readers)
+        blocked.add(net)
+        return list(filterfalse(blocked.__contains__, self.names))
 
     def splice(self, target: str) -> tuple[str, str, bool]:
         """Make room for a key gate driving ``target``'s sinks.
@@ -325,10 +334,8 @@ class _Workbench:
         rewired to it. Returns (key_gate_output, original_value_net,
         pi_mode).
         """
-        driver_idx = self.driver.pop(target, None)
+        driver_idx = self.driver[target]
         if driver_idx is None:
-            if target not in self.pis:
-                raise LockError(f"cannot lock unknown net {target!r}")
             if target in self.pos:
                 raise LockError(
                     f"cannot lock {target!r}: it is both a primary input "
@@ -336,17 +343,24 @@ class _Workbench:
                 )
             carrier = self.fresh(f"{target}_keyed")
             sinks = self.readers.pop(target, [])
-            for gi in sinks:
+            for out in sinks:
+                gi = self.driver[out]
                 g = self.gates[gi]
                 self.gates[gi] = Gate(
-                    g.output, g.kind, (carrier if i == target else i for i in g.inputs)
+                    out, g.kind, (carrier if i == target else i for i in g.inputs)
                 )
+                self.fanin[out] = self.gates[gi].inputs
             self.readers[carrier] = sinks
             return carrier, target, True
         old = self.gates[driver_idx]
         carrier = self.fresh(f"{target}_pre")
         self.gates[driver_idx] = Gate(carrier, old.kind, old.inputs)
-        self.driver[carrier] = driver_idx
+        self.names[len(self.original_pis) + driver_idx] = carrier
+        self.driver[carrier] = self.driver.pop(target)
+        self.fanin[carrier] = self.fanin.pop(target)
+        for inp in dict.fromkeys(old.inputs):
+            sinks = self.readers[inp]
+            sinks[sinks.index(target)] = carrier
         return target, carrier, False
 
 
@@ -384,10 +398,7 @@ def _dummy_net(
             raise DummyError(f"no primary input available as dummy for {target!r}")
         return rng.choice(pool), "primary_input"
 
-    blocked = bench.cone(target)
-    blocked.add(target)
-    pool = [p for p in bench.original_pis if p not in blocked]
-    pool += [g.output for g in bench.gates if g.output not in blocked]
+    pool = bench.outside_cone(target)
     if policy == "other_cone_net":
         if not pool:
             raise DummyError(f"no net outside the cone of {target!r}")
@@ -436,7 +447,7 @@ def _insert(
     bits: list[int] = []
 
     for index, target, bit, style in plan:
-        if target not in bench.taken:
+        if target not in bench.driver:
             raise LockError(f"cannot lock unknown net {target!r}")
         if style == "mux":
             dummy, policy_desc = _dummy_net(

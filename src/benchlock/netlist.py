@@ -13,7 +13,7 @@ import re
 from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, Container, Iterable, Mapping
+from typing import Container, Iterable, Mapping
 
 from .errors import StructuralError, UnknownNet
 
@@ -32,7 +32,7 @@ class GateKind(Enum):
     MUX = "MUX"
 
     def arity_ok(self, n: int) -> bool:
-        exact = GATE_KINDS[self.value][1]
+        exact = GATE_KINDS[self._value_][1]
         return n == exact if exact else n >= 2
 
 
@@ -149,6 +149,8 @@ class Netlist:
                 self._driver[gate.output] = gate
 
         self._loads: dict[str, list[tuple[int, int]]] | None = None
+        self._fanin: dict[str, tuple[str, ...]] | None = None  # for tfi
+        self._fanout: dict[str, list[str]] | None = None  # for tfo
         self._diags: tuple[str, ...] | None = None
         self._sorted: tuple[tuple[Gate, ...], tuple[Gate, ...]] | None = None
         self._po_slots: Counter[str] | None = None
@@ -332,9 +334,11 @@ class Netlist:
         if not self.has_net(net):
             raise UnknownNet(f"unknown net: {net!r}")
         drivers = self._driver
-        cone = reach(
-            net, lambda n: () if (gate := drivers.get(n)) is None else gate.inputs
-        )
+        if self._fanin is None:
+            self._fanin = {
+                n: gate.inputs for n, gate in drivers.items() if gate is not None
+            }
+        cone = reach(net, self._fanin)
         if self._reads_unknown is None:
             self._reads_unknown = any(
                 i not in drivers for gate in self.gates for i in gate.inputs
@@ -346,8 +350,13 @@ class Netlist:
         excluding ``net`` itself."""
         if not self.has_net(net):
             raise UnknownNet(f"unknown net: {net!r}")
-        loads = self._load_table()
-        return reach(net, lambda n: (self.gates[gi].output for gi, _ in loads[n]))
+        if self._fanout is None:
+            gates = self.gates
+            self._fanout = {
+                n: [gates[gi].output for gi, _ in loads]
+                for n, loads in self._load_table().items()
+            }
+        return reach(net, self._fanout)
 
     def fanout_count(self, net: str) -> int:
         """Number of gate-input positions plus primary-output slots reading
@@ -361,7 +370,8 @@ class Netlist:
     def stats(self) -> CircuitStats:
         by_kind: dict[str, int] = {}
         for gate in self.gates:
-            by_kind[gate.kind.value] = by_kind.get(gate.kind.value, 0) + 1
+            kind = gate.kind._value_
+            by_kind[kind] = by_kind.get(kind, 0) + 1
         return CircuitStats(
             n_inputs=len(self.primary_inputs),
             n_outputs=len(self.primary_outputs),
@@ -558,15 +568,17 @@ def cofactor(
     return gates, const
 
 
-def reach(start: str, step: Callable[[str], Iterable[str]]) -> set[str]:
-    """Nets reachable from ``start`` by repeated ``step``, excluding
-    ``start`` itself. The one cone walk: ``step`` yields a net's fan-in
-    for a transitive fan-in, its readers' outputs for a transitive fan-out.
+def reach(start: str, table: Mapping[str, Iterable[str]]) -> set[str]:
+    """Nets reachable from ``start`` through ``table``, excluding ``start``
+    itself. The one cone walk: ``table`` maps a net to its fan-in for a
+    transitive fan-in, to its readers' outputs for a transitive fan-out;
+    a net missing from it has no successors.
     """
+    get = table.get
     seen: set[str] = set()
     stack = [start]
     while stack:
-        for nxt in step(stack.pop()):
+        for nxt in get(stack.pop(), ()):
             if nxt not in seen:
                 seen.add(nxt)
                 stack.append(nxt)

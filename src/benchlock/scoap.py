@@ -17,7 +17,9 @@ Recurrences, forward pass over a topological order:
 Backward pass: co(primary-output net) = 0; for a gate input position,
 co = co(output) + sum(side-input sensitization cost) + 1 with AND/NAND
 sides at cc1, OR/NOR sides at cc0, XOR/XNOR sides at min(cc0, cc1); a
-net's co is the minimum over its load positions.
+net's co is the minimum over its load positions. The side sum of a
+position is the gate's total sensitization cost less the position's own,
+so each gate costs time linear in its input count.
 
 n-ary XOR/XNOR are lowered to a balanced 2-input tree and MUX to its
 AND/OR/NOT form before both passes; metrics for the synthesized nets are
@@ -134,17 +136,17 @@ def scoap(netlist: Netlist) -> ScoapMetrics:
         if out_co >= UNOBSERVABLE:
             continue
         kind = gate.kind
-        for pos, inp in enumerate(gate.inputs):
-            sides = [x for j, x in enumerate(gate.inputs) if j != pos]
-            if kind in (GateKind.AND, GateKind.NAND):
-                sens = sum(cc1[s] for s in sides)
-            elif kind in (GateKind.OR, GateKind.NOR):
-                sens = sum(cc0[s] for s in sides)
-            elif kind in (GateKind.XOR, GateKind.XNOR):
-                sens = sum(min(cc0[s], cc1[s]) for s in sides)
-            else:  # NOT / BUFF
-                sens = 0
-            co[inp] = min(co[inp], out_co + sens + 1)
+        if kind is GateKind.AND or kind is GateKind.NAND:
+            costs = [cc1[i] for i in gate.inputs]
+        elif kind is GateKind.OR or kind is GateKind.NOR:
+            costs = [cc0[i] for i in gate.inputs]
+        elif kind is GateKind.XOR or kind is GateKind.XNOR:
+            costs = [min(cc0[i], cc1[i]) for i in gate.inputs]
+        else:  # NOT / BUFF: no side inputs
+            costs = [0]
+        base = out_co + sum(costs) + 1  # a position adds all costs but its own
+        for inp, own in zip(gate.inputs, costs):
+            co[inp] = min(co[inp], base - own)
 
     real = set(netlist.nets)
     return ScoapMetrics(

@@ -1,5 +1,7 @@
+import contextlib
 import hashlib
 import itertools
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -13,6 +15,7 @@ from benchlock.circuits import (
     parallel_cones,
     random_netlist,
 )
+from benchlock import locking
 from benchlock.errors import DummyError, LockError, SelectionError, StructuralError
 from benchlock.locking import (
     DUMMY_POLICIES,
@@ -163,6 +166,26 @@ def test_bitset_selection_matches_set_walks(make):
             assert select_nets(netlist, "sll", k) == want
 
 
+def _observable(netlist):
+    """Nets with a structural path to a primary output."""
+    return set(netlist.primary_outputs).union(
+        *(netlist.tfi(po) for po in netlist.primary_outputs))
+
+
+def test_a_net_no_output_depends_on_is_never_selected():
+    # primary input i13 is read by nothing; scoap ranked it first because
+    # its observability is UNOBSERVABLE, so key bit 0 locked nothing
+    netlist = layered_netlist(32, [100] * 5, 2, n_outputs=40)
+    assert netlist.load_gates("i13") == [] and "i13" not in netlist.primary_outputs
+    observable = _observable(netlist)
+    assert set(eligible_nets(netlist)) == observable
+    locked, _ = lock(netlist, LockConfig(key_size=16, seed=5, selection="scoap"))
+    assert "i13" not in {r.target for r in locked.ledger}
+    for strategy in SELECTION_STRATEGIES:
+        picked = select_nets(netlist, strategy, 8, seed=5)
+        assert set(picked) <= observable, strategy
+
+
 def test_pi_that_is_po_not_eligible():
     n = Netlist("t", ["a", "b"], ["a", "y"], [Gate("y", GateKind.AND, ("a", "b"))])
     picked = select_nets(n, "cone_size", 2)
@@ -287,6 +310,66 @@ def test_mux_dummy_error_when_no_cone_escape():
     n = and_gate()
     with pytest.raises(DummyError):
         insert_mux_keygates(n, ["y"], (0,), dummy_policy="other_cone_net", seed=0)
+
+
+@contextlib.contextmanager
+def _pool_checked():
+    """At every MUX dummy pick, check the workbench's pool against a
+    reference from ``Netlist.tfi | tfo | {target}`` on its snapshot, and
+    record (target, whether it is a primary input)."""
+    picks = []
+    pick = locking._dummy_net
+
+    def checked(bench, bit_index, target, policy, rng):
+        snap = bench.snapshot()
+        blocked = snap.tfi(target) | snap.tfo(target) | {target}
+        blocked.update(set(snap.primary_inputs) - set(bench.original_pis))
+        assert bench.outside_cone(target) == [n for n in snap.nets if n not in blocked]
+        picks.append((target, snap.is_primary_input(target)))
+        return pick(bench, bit_index, target, policy, rng)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(locking, "_dummy_net", checked)
+        yield picks
+
+
+@pytest.mark.parametrize("policy, seed, targets", [
+    ("constant", 0, ["G10", "G1", "G16"]),
+    ("random_function", 1, ["G10", "G2", "G16"]),
+])
+def test_dummy_pool_follows_a_dummy_gate_onto_a_locked_pi(policy, seed, targets):
+    with _pool_checked() as picks:
+        locked = insert_mux_keygates(c17(), targets, (0, 1, 1), policy, seed=seed)
+    assert picks == [("G10", False), (targets[1], True), ("G16", False)]
+    # bit 0's dummy gate read the PI that bit 1 locked; the splice moved it
+    # to bit 1's key gate output, like every other reader of the PI
+    dummy = locked.netlist.driver(locked.ledger[0].dummy_net)
+    key_gate = next(g for g in locked.netlist.gates if "keyinput1" in g.inputs)
+    assert key_gate.output in dummy.inputs
+
+
+@settings(derandomize=True, deadline=None, max_examples=40, database=None)
+@given(n_inputs=st.integers(2, 8), n_gates=st.integers(3, 40),
+       seed=st.integers(0, 10**6), k=st.integers(2, 8))
+def test_dummy_pool_matches_tfi_tfo_of_the_snapshot(n_inputs, n_gates, seed, k):
+    netlist = random_netlist(n_inputs, n_gates, seed)
+    rng = random.Random(seed)
+    pool = eligible_nets(netlist)
+    pi = rng.choice([n for n in pool if netlist.is_primary_input(n)])
+    gate = rng.choice([n for n in pool if not netlist.is_primary_input(n)])
+    targets = rng.sample([n for n in pool if n not in (pi, gate)], min(k, len(pool)) - 2)
+    # a PI-mode and a gate-driven MUX bit at random places, XOR bits between
+    targets.insert(rng.randrange(len(targets) + 1), pi)
+    targets.insert(rng.randrange(len(targets) + 1), gate)
+    plan = [(i, t, rng.getrandbits(1), "mux" if t in (pi, gate) or i % 3 else "xor")
+            for i, t in enumerate(targets)]
+    for policy in DUMMY_POLICIES:
+        with _pool_checked() as picks:
+            try:
+                locking._insert(netlist, plan, policy, random.Random(seed), "keyinput")
+            except DummyError:
+                continue  # no cone-safe dummy left for some bit
+        assert (pi, True) in picks and (gate, False) in picks, policy
 
 
 # -- lock() ------------------------------------------------------------------------------

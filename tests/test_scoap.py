@@ -1,9 +1,11 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from benchlock.circuits import c17, not_chain
+from benchlock.circuits import c17, c432_scale, layered_netlist, not_chain, random_netlist
 from benchlock.errors import StructuralError
 from benchlock.netlist import Gate, GateKind, Netlist
-from benchlock.scoap import UNOBSERVABLE, scoap
+from benchlock.scoap import UNOBSERVABLE, _lowered_gates, scoap
 
 
 def test_primary_input_base_cases():
@@ -108,3 +110,88 @@ def test_scoap_requires_valid_netlist():
     bad = Netlist("t", [], ["x"], [Gate("x", GateKind.NOT, ("x",))])
     with pytest.raises(StructuralError):
         scoap(bad)
+
+
+def _reference_scoap(netlist):
+    """SCOAP with the backward pass's side inputs listed per input
+    position, as ``scoap`` computed it before the side sum was shared."""
+    gates = _lowered_gates(netlist)
+    cc0 = {pi: 1 for pi in netlist.primary_inputs}
+    cc1 = dict(cc0)
+    for gate in gates:
+        i0 = [cc0[i] for i in gate.inputs]
+        i1 = [cc1[i] for i in gate.inputs]
+        kind = gate.kind
+        if kind is GateKind.AND:
+            c1, c0 = sum(i1) + 1, min(i0) + 1
+        elif kind is GateKind.OR:
+            c1, c0 = min(i1) + 1, sum(i0) + 1
+        elif kind is GateKind.NAND:
+            c1, c0 = min(i0) + 1, sum(i1) + 1
+        elif kind is GateKind.NOR:
+            c1, c0 = sum(i0) + 1, min(i1) + 1
+        elif kind is GateKind.NOT:
+            c1, c0 = i0[0] + 1, i1[0] + 1
+        elif kind is GateKind.BUFF:
+            c1, c0 = i1[0] + 1, i0[0] + 1
+        else:
+            odd = min(i0[0] + i1[1], i1[0] + i0[1]) + 1
+            even = min(i0[0] + i0[1], i1[0] + i1[1]) + 1
+            c1, c0 = (odd, even) if kind is GateKind.XOR else (even, odd)
+        cc0[gate.output], cc1[gate.output] = c0, c1
+    co = {n: UNOBSERVABLE for n in cc0}
+    for po in netlist.primary_outputs:
+        co[po] = 0
+    for gate in reversed(gates):
+        out_co = co[gate.output]
+        if out_co >= UNOBSERVABLE:
+            continue
+        kind = gate.kind
+        for pos, inp in enumerate(gate.inputs):
+            sides = [x for j, x in enumerate(gate.inputs) if j != pos]
+            if kind in (GateKind.AND, GateKind.NAND):
+                sens = sum(cc1[s] for s in sides)
+            elif kind in (GateKind.OR, GateKind.NOR):
+                sens = sum(cc0[s] for s in sides)
+            elif kind in (GateKind.XOR, GateKind.XNOR):
+                sens = sum(min(cc0[s], cc1[s]) for s in sides)
+            else:
+                sens = 0
+            co[inp] = min(co[inp], out_co + sens + 1)
+    real = set(netlist.nets)
+    return tuple({n: v for n, v in m.items() if n in real} for m in (cc0, cc1, co))
+
+
+@st.composite
+def _netlists(draw):
+    """Small valid netlists over every gate kind, with repeated inputs,
+    XOR/XNOR up to six wide, MUX gates and nets no output depends on."""
+    nets = [f"i{j}" for j in range(draw(st.integers(1, 5)))]
+    gates = []
+    for j in range(draw(st.integers(1, 25))):
+        kind = draw(st.sampled_from(list(GateKind)))
+        arity = {GateKind.NOT: 1, GateKind.BUFF: 1, GateKind.MUX: 3}.get(
+            kind) or draw(st.integers(2, 6))
+        ins = draw(st.lists(st.sampled_from(nets), min_size=arity, max_size=arity))
+        gates.append(Gate(f"g{j}", kind, ins))
+        nets.append(f"g{j}")
+    outs = draw(st.lists(st.sampled_from(nets), min_size=1, max_size=4, unique=True))
+    return Netlist("t", nets[: len(nets) - len(gates)], outs, gates)
+
+
+@settings(derandomize=True, deadline=None, max_examples=150, database=None)
+@given(netlist=_netlists())
+def test_scoap_matches_the_per_position_reference(netlist):
+    m = scoap(netlist)
+    assert (m.cc0, m.cc1, m.co) == _reference_scoap(netlist)
+
+
+@pytest.mark.parametrize("make", [
+    lambda: random_netlist(12, 200, 1, with_mux=True),
+    lambda: layered_netlist(16, [30, 20, 10], 3, n_outputs=5),
+    c432_scale,
+], ids=["rand_mux", "layered", "c432s"])
+def test_scoap_matches_the_reference_on_generated_circuits(make):
+    netlist = make()
+    m = scoap(netlist)
+    assert (m.cc0, m.cc1, m.co) == _reference_scoap(netlist)
