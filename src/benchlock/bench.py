@@ -18,7 +18,7 @@ import re
 from dataclasses import dataclass
 from typing import Callable
 
-from .errors import BenchParseError, DialectError, StructuralError, UnsupportedGate
+from .errors import BenchParseError, DialectError, UnsupportedGate
 from .netlist import GATE_KINDS, Gate, GateKind, Netlist
 
 _INPUT_RE = re.compile(r"^\s*(INPUT|OUTPUT)\s*\(\s*([A-Za-z0-9_]+)\s*\)\s*$", re.I)
@@ -88,9 +88,7 @@ def parse_bench_document(text: str, name: str = "bench") -> BenchDocument:
         gates.append(Gate(out, entry[0], "".join(args.split()).split(",")))
 
     netlist = Netlist(name, inputs, outputs, gates)
-    diags = netlist.validate()
-    if diags:
-        raise StructuralError(diags)
+    netlist.require_valid()
     return BenchDocument(tuple(comments), netlist)
 
 

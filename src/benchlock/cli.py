@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import concurrent.futures
+import contextlib
 import datetime
 import functools
 import json
@@ -38,6 +39,7 @@ from .errors import (
     ValidationFailed,
 )
 from .locking import (
+    Key,
     LockConfig,
     LockedNetlist,
     emit_key_file,
@@ -45,7 +47,7 @@ from .locking import (
     parse_key_file,
     resolve_key_inputs,
 )
-from .netlist import Netlist
+from .netlist import Netlist, fresh_name
 from .report import finish_report, new_report, report_json
 from .verify import functional_verify
 from .verilog import parse_verilog_subset
@@ -124,6 +126,10 @@ def _add_lock_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--preset", choices=list(_PRESET), default=None,
                    help="expand a named configuration preset")
     p.add_argument("--seed", type=int, default=0, help="PRNG seed (default: 0)")
+    _add_key_prefix(p)
+
+
+def _add_key_prefix(p: argparse.ArgumentParser) -> None:
     p.add_argument("--key-prefix", default="keyinput",
                    help="key input name prefix (default: keyinput)")
 
@@ -155,8 +161,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = add("attack", "oracle-guided SAT attack on a locked .bench file")
     p.add_argument("--locked", required=True, help="locked .bench file")
     p.add_argument("--oracle", required=True, help="original .bench file (oracle)")
-    p.add_argument("--key-prefix", default="keyinput",
-                   help="key input name prefix (default: keyinput)")
+    _add_key_prefix(p)
     p.add_argument("--timeout-ms", type=float, default=300_000.0,
                    help="attack time budget (default: 300000)")
     p.add_argument("--iteration-cap", type=int, default=None,
@@ -168,7 +173,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--original", required=True)
     p.add_argument("--key", required=True, help="key file")
     p.add_argument("--mode", choices=("auto", "exhaustive", "sat"), default="auto")
-    p.add_argument("--key-prefix", default="keyinput")
+    _add_key_prefix(p)
 
     p = add("corrupt", "sampled wrong-key output corruption")
     p.add_argument("--locked", required=True)
@@ -177,7 +182,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--wrong-keys", type=int, default=100)
     p.add_argument("--inputs", type=int, default=100)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--key-prefix", default="keyinput")
+    _add_key_prefix(p)
 
     p = add("llm-lock", "lock via a chat-completion endpoint, with validation")
     p.add_argument("--input", required=True, help=".v or .bench input")
@@ -216,6 +221,35 @@ def build_parser() -> argparse.ArgumentParser:
 # -- subcommands -------------------------------------------------------------------
 
 
+def _write_lock(locked: LockedNetlist, output, key_out, comment: str) -> None:
+    """Write the locked .bench and its key file, each where a path is given."""
+    if output:
+        Path(output).write_text(emit_bench(locked.netlist), encoding="utf-8")
+    if key_out:
+        Path(key_out).write_text(
+            emit_key_file(locked.correct_key, comment=comment,
+                          first_input=locked.key_inputs[0]),
+            encoding="utf-8",
+        )
+
+
+def _write_report(report: dict, path, netlist: Netlist, locked: LockedNetlist,
+                  **sections) -> None:
+    """Finish a report begun when the command started, with the stats of
+    ``netlist`` before and ``locked`` after locking, and write it to
+    ``path`` when one is given."""
+    if path:
+        report.update(circuit=netlist.name, stats_before=netlist.stats().as_dict(),
+                      stats_after=locked.netlist.stats().as_dict(), **sections)
+        Path(path).write_text(report_json(finish_report(report)), encoding="utf-8")
+
+
+def _read_checked(args) -> tuple[LockedNetlist, Netlist, Key]:
+    """The inputs of verify and corrupt: --locked, --original and --key."""
+    return (_read_locked(args), _read_netlist(args.original),
+            parse_key_file(Path(args.key).read_text(encoding="utf-8")))
+
+
 def _cmd_convert(args) -> int:
     netlist = parse_verilog_subset(
         Path(args.input).read_text(encoding="utf-8"), name=Path(args.input).stem
@@ -230,33 +264,18 @@ def _cmd_convert(args) -> int:
 def _cmd_lock(args) -> int:
     netlist = _read_netlist(args.input)
     locked, key = lock(netlist, _lock_config(args))
-    Path(args.output).write_text(emit_bench(locked.netlist), encoding="utf-8")
-    Path(args.key_out).write_text(
-        emit_key_file(key, comment=f"{netlist.name} seed={args.seed}",
-                      first_input=locked.key_inputs[0]),
-        encoding="utf-8",
-    )
+    _write_lock(locked, args.output, args.key_out, f"{netlist.name} seed={args.seed}")
     print(f"locked {netlist.name} with {len(key)} key bits -> {args.output}")
     return 0
 
 
 def _cmd_attack(args) -> int:
+    report = new_report()
     locked = _read_locked(args)
     original = _read_netlist(args.oracle)
-    oracle = Oracle(original)
-    result = sat_attack(
-        locked,
-        oracle,
-        timeout_ms=args.timeout_ms,
-        iteration_cap=args.iteration_cap,
-    )
-    if args.report:
-        report = new_report(circuit=original.name)
-        report["stats_before"] = original.stats().as_dict()
-        report["stats_after"] = locked.netlist.stats().as_dict()
-        report["attack"] = result.as_dict()
-        Path(args.report).write_text(report_json(finish_report(report)),
-                                     encoding="utf-8")
+    result = sat_attack(locked, Oracle(original), timeout_ms=args.timeout_ms,
+                        iteration_cap=args.iteration_cap)
+    _write_report(report, args.report, original, locked, attack=result.as_dict())
     print(f"attack: {result.status} after {result.iterations} iterations "
           f"({result.elapsed_ms:.0f} ms)")
     if result.status == "key_recovered":
@@ -266,10 +285,7 @@ def _cmd_attack(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    locked = _read_locked(args)
-    original = _read_netlist(args.original)
-    key = parse_key_file(Path(args.key).read_text(encoding="utf-8"))
-    verdict = functional_verify(locked, original, key, mode=args.mode)
+    verdict = functional_verify(*_read_checked(args), mode=args.mode)
     for diag in verdict.structural_diagnostics:
         print(f"structural: {diag}")
     print(f"structural: {'ok' if verdict.structural_ok else 'FAILED'}")
@@ -280,17 +296,9 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_corrupt(args) -> int:
-    locked = _read_locked(args)
-    original = _read_netlist(args.original)
-    key = parse_key_file(Path(args.key).read_text(encoding="utf-8"))
-    stats = corruption_stats(
-        locked,
-        Oracle(original),
-        key,
-        wrong_keys=args.wrong_keys,
-        inputs=args.inputs,
-        seed=args.seed,
-    )
+    locked, original, key = _read_checked(args)
+    stats = corruption_stats(locked, Oracle(original), key, wrong_keys=args.wrong_keys,
+                             inputs=args.inputs, seed=args.seed)
     print(json.dumps(stats.as_dict(), indent=2, sort_keys=True))
     return 0
 
@@ -298,48 +306,26 @@ def _cmd_corrupt(args) -> int:
 def _cmd_llm_lock(args) -> int:
     from .llm import HttpTransport, llm_convert, llm_obfuscate
 
+    config = _lock_config(args)
+    report = new_report(config=config.as_dict())
     transport = HttpTransport(args.endpoint)
-    fallback = args.fallback == "on"
+    llm_args = {"model": args.model, "validation_retries": args.retries,
+                "fallback": args.fallback == "on"}
     path = Path(args.input)
     records = []
     if path.suffix == ".v":
-        netlist, record = llm_convert(
-            transport,
-            path.read_text(encoding="utf-8"),
-            model=args.model,
-            validation_retries=args.retries,
-            fallback=fallback,
-        )
+        netlist, record = llm_convert(transport, path.read_text(encoding="utf-8"),
+                                      **llm_args)
         records.append(record)
     else:
         netlist = _read_netlist(args.input)
-    locked, record = llm_obfuscate(
-        transport,
-        netlist,
-        _lock_config(args),
-        model=args.model,
-        validation_retries=args.retries,
-        fallback=fallback,
-    )
+    locked, record = llm_obfuscate(transport, netlist, config, **llm_args)
     records.append(record)
 
-    if args.output:
-        Path(args.output).write_text(emit_bench(locked.netlist), encoding="utf-8")
-    if args.key_out:
-        Path(args.key_out).write_text(
-            emit_key_file(locked.correct_key, comment=f"{netlist.name} (llm-lock)",
-                          first_input=locked.key_inputs[0]),
-            encoding="utf-8",
-        )
+    _write_lock(locked, args.output, args.key_out, f"{netlist.name} (llm-lock)")
+    _write_report(report, args.report, netlist, locked, llm_run=record.as_dict())
     if args.report:
-        report = new_report(circuit=netlist.name, config=_lock_config(args).as_dict())
-        report["stats_before"] = netlist.stats().as_dict()
-        report["stats_after"] = locked.netlist.stats().as_dict()
-        report["llm_run"] = record.as_dict()
-        Path(args.report).write_text(report_json(finish_report(report)),
-                                     encoding="utf-8")
-        transcript_path = Path(args.report).with_suffix(".transcript.json")
-        transcript_path.write_text(
+        Path(args.report).with_suffix(".transcript.json").write_text(
             json.dumps([r.as_dict() for r in records], indent=2), encoding="utf-8"
         )
     print(f"llm-lock: source={record.final_source}, "
@@ -347,112 +333,85 @@ def _cmd_llm_lock(args) -> int:
     return 0
 
 
-def _pipeline_one(
-    input_path: str,
-    args: argparse.Namespace,
-    report_path: Path | None,
-    output_path: Path | None,
-    key_path: Path | None,
-) -> tuple[str, int, str]:
-    netlist = _read_netlist(input_path)
+# one pipeline input: (input, report, locked .bench, key file)
+_Job = tuple[str, Path | None, Path | None, Path | None]
+
+
+def _pipeline_one(args, job: _Job) -> tuple[int, str]:
+    """Lock, verify, attack and optionally sample corruption for one input;
+    the exit code and summary line."""
+    input_path, report_path, output_path, key_path = job
     config = _lock_config(args)
-    report = new_report(circuit=netlist.name, config=config.as_dict())
-    report["stats_before"] = netlist.stats().as_dict()
-
+    report = new_report(config=config.as_dict())
+    netlist = _read_netlist(input_path)
     locked, key = lock(netlist, config)
-    report["stats_after"] = locked.netlist.stats().as_dict()
     verdict = functional_verify(locked, netlist, key)
-    report["structural"] = {
-        "ok": verdict.structural_ok,
-        "diagnostics": list(verdict.structural_diagnostics),
-    }
-    report["functional"] = verdict.as_dict()
-
-    result = sat_attack(
-        locked,
-        Oracle(netlist),
-        timeout_ms=args.timeout_ms,
-        iteration_cap=args.iteration_cap,
-    )
-    report["attack"] = result.as_dict()
-
+    result = sat_attack(locked, Oracle(netlist), timeout_ms=args.timeout_ms,
+                        iteration_cap=args.iteration_cap)
+    corruption = None
     if args.wrong_keys > 0:
-        report["corruption"] = corruption_stats(
-            locked,
-            Oracle(netlist),
-            key,
-            wrong_keys=args.wrong_keys,
-            inputs=args.inputs,
-            seed=args.seed,
-        ).as_dict()
+        corruption = corruption_stats(locked, Oracle(netlist), key,
+                                      wrong_keys=args.wrong_keys, inputs=args.inputs,
+                                      seed=args.seed).as_dict()
 
-    if output_path:
-        output_path.write_text(emit_bench(locked.netlist), encoding="utf-8")
-    if key_path:
-        key_path.write_text(
-            emit_key_file(key, comment=f"{netlist.name} seed={args.seed}",
-                          first_input=locked.key_inputs[0]),
-            encoding="utf-8",
-        )
-    if report_path:
-        report_path.write_text(report_json(finish_report(report)), encoding="utf-8")
-
+    _write_lock(locked, output_path, key_path, f"{netlist.name} seed={args.seed}")
+    _write_report(
+        report, report_path, netlist, locked,
+        structural={"ok": verdict.structural_ok,
+                    "diagnostics": list(verdict.structural_diagnostics)},
+        functional=verdict.as_dict(), attack=result.as_dict(), corruption=corruption,
+    )
     ok = verdict.functional == "equivalent" and result.status == "key_recovered"
     summary = (
         f"{netlist.name}: verify={verdict.functional}, attack={result.status} "
         f"({result.iterations} DIPs)"
     )
-    return netlist.name, 0 if ok else 1, summary
+    return 0 if ok else 1, summary
+
+
+def _new_run_dir(args) -> Path:
+    """Create ``<run-dir>/<timestamp>_s<seed>``; when an earlier run took
+    that name, the first free ``<timestamp>_s<seed>_2``, ``_3``, ..."""
+    root = Path(args.run_dir)
+    root.mkdir(parents=True, exist_ok=True)
+    name = f"{datetime.datetime.now():%Y%m%d-%H%M%S}_s{args.seed}"
+    while True:
+        run_dir = root / fresh_name(name, {p.name for p in root.iterdir()})
+        try:
+            run_dir.mkdir()
+            return run_dir
+        except FileExistsError:  # a concurrent run took the name first
+            continue
+
+
+def _pipeline_jobs(args) -> list[_Job]:
+    """The job of each input: the paths given for a single input without
+    --run-dir; else ``<stem>.report.json``, ``<stem>.locked.bench`` and
+    ``<stem>.key`` in the run directory or the --report directory."""
+    if len(args.input) == 1 and not args.run_dir:
+        paths = (args.report, args.output, args.key_out)
+        return [(args.input[0], *(Path(p) if p else None for p in paths))]
+    base = _new_run_dir(args) if args.run_dir else Path(args.report or ".")
+    base.mkdir(parents=True, exist_ok=True)
+    return [
+        (ip, base / f"{stem}.report.json", base / f"{stem}.locked.bench",
+         base / f"{stem}.key")
+        for ip in args.input
+        for stem in [Path(ip).stem]
+    ]
 
 
 def _cmd_pipeline(args) -> int:
-    inputs = args.input
-    run_dir = None
-    if args.run_dir:
-        stamp = datetime.datetime.now().strftime("%Y%m%d-%H%M%S")
-        run_dir = Path(args.run_dir) / f"{stamp}_s{args.seed}"
-        run_dir.mkdir(parents=True, exist_ok=True)
-
-    def paths_for(input_path: str):
-        stem = Path(input_path).stem
-        if run_dir is not None:
-            return (
-                run_dir / f"{stem}.report.json",
-                run_dir / f"{stem}.locked.bench",
-                run_dir / f"{stem}.key",
-            )
-        if len(inputs) == 1:
-            report = Path(args.report) if args.report else None
-            output = Path(args.output) if args.output else None
-            key_out = Path(args.key_out) if args.key_out else None
-            return report, output, key_out
-        base = Path(args.report) if args.report else Path(".")
-        base.mkdir(parents=True, exist_ok=True)
-        return (
-            base / f"{stem}.report.json",
-            base / f"{stem}.locked.bench",
-            base / f"{stem}.key",
-        )
-
-    jobs = []
-    for input_path in inputs:
-        report_path, output_path, key_path = paths_for(input_path)
-        jobs.append((input_path, report_path, output_path, key_path))
-
+    jobs = _pipeline_jobs(args)
+    run = functools.partial(_pipeline_one, args)
     worst = 0
-    if args.jobs > 1 and len(jobs) > 1:
-        with concurrent.futures.ProcessPoolExecutor(max_workers=args.jobs) as pool:
-            futures = [
-                pool.submit(_pipeline_one, ip, args, rp, op, kp)
-                for ip, rp, op, kp in jobs
-            ]
-            for fut in futures:
-                _, code, summary = fut.result()
-                print(summary)
-                worst = max(worst, code)
-    else:
-        for ip, rp, op, kp in jobs:
-            _, code, summary = _pipeline_one(ip, args, rp, op, kp)
+    with contextlib.ExitStack() as stack:
+        if args.jobs > 1 and len(jobs) > 1:
+            pool = concurrent.futures.ProcessPoolExecutor(max_workers=args.jobs)
+            results = stack.enter_context(pool).map(run, jobs)
+        else:
+            results = map(run, jobs)
+        for code, summary in results:
             print(summary)
             worst = max(worst, code)
     return worst

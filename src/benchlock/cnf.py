@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping
 
-from .errors import CnfError, StructuralError
+from .errors import CnfError
 from .netlist import GateKind, Netlist, input_patterns
 
 VarMap = dict  # net name -> variable index, one circuit copy
@@ -129,9 +129,7 @@ def tseitin(netlist: Netlist) -> tuple[CnfFormula, VarMap]:
     """Encode a valid netlist: BUFFs alias their input, identical gates
     share a variable, numbering follows topological order, and n-ary
     XOR/XNOR chains add auxiliaries."""
-    diags = netlist.validate()
-    if diags:
-        raise StructuralError(diags)
+    netlist.require_valid()
     cnf = CnfFormula()
     varmap = encode_into(cnf, netlist)
     return cnf, varmap

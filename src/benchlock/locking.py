@@ -22,7 +22,7 @@ import random
 from dataclasses import dataclass, replace
 from itertools import filterfalse
 
-from .errors import DummyError, LockError, SelectionError, StructuralError
+from .errors import DummyError, LockError, SelectionError
 from .netlist import Gate, GateKind, Netlist, cofactor, fresh_name, reach
 from .scoap import scoap
 
@@ -164,19 +164,16 @@ def generate_key(key_size: int, seed: int) -> Key:
 def eligible_nets(netlist: Netlist) -> list[str]:
     """Lockable nets in declaration order.
 
-    A net qualifies when some primary output depends on it, found in one
-    backward pass over ``topo_order()`` (a key gate on any other net
-    would lock nothing), unless it is both a primary input and a primary
-    output (no spot to splice a key gate without renaming a port). The
-    netlist must be valid: a cycle raises StructuralError.
+    A net qualifies when it is in ``netlist.output_cone()`` (a key gate
+    on any other net would lock nothing), unless it is both a primary
+    input and a primary output (no spot to splice a key gate without
+    renaming a port). The netlist must be valid: a cycle raises
+    StructuralError.
     """
-    pos = set(netlist.primary_outputs)
-    observed = set(pos)
-    for gate in reversed(netlist.topo_order()):
-        if gate.output in observed:
-            observed.update(gate.inputs)
-    observed.difference_update(pos.intersection(netlist.primary_inputs))
-    return [n for n in netlist.nets if n in observed]
+    netlist.topo_order()  # raises on a cycle
+    cone = netlist.output_cone()
+    ports = set(netlist.primary_inputs).intersection(netlist.primary_outputs)
+    return [n for n in netlist.nets if n in cone and n not in ports]
 
 
 def select_nets(
@@ -321,7 +318,7 @@ class _Workbench:
     def outside_cone(self, net: str) -> list[str]:
         """``names`` outside the transitive fan-in and fan-out of ``net``
         and other than ``net``, in ``names`` order."""
-        blocked = reach(net, self.fanin) | reach(net, self.readers)
+        blocked = reach((net,), self.fanin) | reach((net,), self.readers)
         blocked.add(net)
         return list(filterfalse(blocked.__contains__, self.names))
 
@@ -421,14 +418,6 @@ def _dummy_net(
     return net, "random_function"
 
 
-def _require_valid(netlist: Netlist) -> None:
-    """Refuse an invalid input up front: selection and insertion assume a
-    valid netlist, and a broken result must blame the input."""
-    diags = netlist.validate()
-    if diags:
-        raise StructuralError(diags)
-
-
 def _insert(
     netlist: Netlist,
     plan: list[tuple[int, str, int, str]],
@@ -497,7 +486,7 @@ def insert_xor_keygates(
     bits = tuple(key_bits)
     if len(nets) != len(bits):
         raise LockError(f"{len(nets)} nets vs {len(bits)} key bits")
-    _require_valid(netlist)
+    netlist.require_valid()
     plan = [(i, n, b, "xor") for i, (n, b) in enumerate(zip(nets, bits))]
     return _insert(netlist, plan, "other_cone_net", random.Random(0), prefix)
 
@@ -522,7 +511,7 @@ def insert_mux_keygates(
         raise LockError(f"{len(nets)} nets vs {len(bits)} key bits")
     if dummy_policy not in DUMMY_POLICIES:
         raise LockError(f"unknown dummy policy: {dummy_policy!r}")
-    _require_valid(netlist)
+    netlist.require_valid()
     plan = [(i, n, b, "mux") for i, (n, b) in enumerate(zip(nets, bits))]
     return _insert(netlist, plan, dummy_policy, random.Random(seed), prefix)
 
@@ -534,7 +523,7 @@ def lock(netlist: Netlist, config: LockConfig) -> tuple[LockedNetlist, Key]:
     from config.seed. An invalid input raises StructuralError.
     """
     cfg = config.normalized()
-    _require_valid(netlist)
+    netlist.require_valid()
     root = random.Random(cfg.seed)
     key_seed, select_seed, split_seed, dummy_seed = (
         root.getrandbits(64) for _ in range(4)

@@ -13,7 +13,7 @@ import re
 from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
-from typing import Container, Iterable, Mapping
+from typing import Collection, Container, Iterable, Mapping
 
 from .errors import StructuralError, UnknownNet
 
@@ -155,6 +155,7 @@ class Netlist:
         self._sorted: tuple[tuple[Gate, ...], tuple[Gate, ...]] | None = None
         self._po_slots: Counter[str] | None = None
         self._reads_unknown: bool | None = None  # a gate reads an unknown name
+        self._cone: frozenset[str] | None = None  # for output_cone
 
     # -- basic accessors ----------------------------------------------------
 
@@ -202,6 +203,12 @@ class Netlist:
         if self._diags is None:
             self._diags = tuple(self._diagnostics())
         return list(self._diags)
+
+    def require_valid(self) -> None:
+        """Raise StructuralError carrying every ``validate()`` diagnostic."""
+        diags = self.validate()
+        if diags:
+            raise StructuralError(diags)
 
     def _diagnostics(self) -> list[str]:
         diags: list[str] = []
@@ -334,11 +341,7 @@ class Netlist:
         if not self.has_net(net):
             raise UnknownNet(f"unknown net: {net!r}")
         drivers = self._driver
-        if self._fanin is None:
-            self._fanin = {
-                n: gate.inputs for n, gate in drivers.items() if gate is not None
-            }
-        cone = reach(net, self._fanin)
+        cone = reach((net,), self._fanin_table())
         if self._reads_unknown is None:
             self._reads_unknown = any(
                 i not in drivers for gate in self.gates for i in gate.inputs
@@ -356,7 +359,25 @@ class Netlist:
                 n: [gates[gi].output for gi, _ in loads]
                 for n, loads in self._load_table().items()
             }
-        return reach(net, self._fanout)
+        return reach((net,), self._fanout)
+
+    def _fanin_table(self) -> dict[str, tuple[str, ...]]:
+        if self._fanin is None:
+            self._fanin = {
+                n: gate.inputs for n, gate in self._driver.items() if gate is not None
+            }
+        return self._fanin
+
+    def output_cone(self) -> frozenset[str]:
+        """Nets some primary output depends on: the outputs and every net
+        on a path to one. One walk back from all outputs at once, computed
+        once; a cycle does not stop it."""
+        if self._cone is None:
+            pos = self.primary_outputs
+            cone = reach(pos, self._fanin_table())
+            cone.update(pos)
+            self._cone = frozenset(cone)
+        return self._cone
 
     def fanout_count(self, net: str) -> int:
         """Number of gate-input positions plus primary-output slots reading
@@ -568,21 +589,21 @@ def cofactor(
     return gates, const
 
 
-def reach(start: str, table: Mapping[str, Iterable[str]]) -> set[str]:
-    """Nets reachable from ``start`` through ``table``, excluding ``start``
-    itself. The one cone walk: ``table`` maps a net to its fan-in for a
-    transitive fan-in, to its readers' outputs for a transitive fan-out;
-    a net missing from it has no successors.
+def reach(starts: Collection[str], table: Mapping[str, Iterable[str]]) -> set[str]:
+    """Nets reachable from any of ``starts`` through ``table``, excluding
+    the starts themselves. The one cone walk: ``table`` maps a net to its
+    fan-in for a transitive fan-in, to its readers' outputs for a
+    transitive fan-out; a net missing from it has no successors.
     """
     get = table.get
     seen: set[str] = set()
-    stack = [start]
+    stack = list(starts)
     while stack:
         for nxt in get(stack.pop(), ()):
             if nxt not in seen:
                 seen.add(nxt)
                 stack.append(nxt)
-    seen.discard(start)
+    seen.difference_update(starts)
     return seen
 
 

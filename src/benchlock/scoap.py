@@ -31,7 +31,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .bench import mux_as_and_or
-from .errors import StructuralError
 from .netlist import Gate, GateKind, Netlist
 
 # Assigned to nets that no output depends on; large but finite so that
@@ -92,9 +91,7 @@ def _lowered_gates(netlist: Netlist) -> list[Gate]:
 
 def scoap(netlist: Netlist) -> ScoapMetrics:
     """Compute SCOAP metrics for every net of a valid netlist."""
-    diags = netlist.validate()
-    if diags:
-        raise StructuralError(diags)
+    netlist.require_valid()
     gates = _lowered_gates(netlist)
 
     cc0: dict[str, int] = {}

@@ -2,8 +2,9 @@
 verification with selectable exhaustive/SAT modes.
 
 A locked design must keep the original primary outputs, keep the original
-primary inputs, and add exactly the key inputs on top; functionally it
-must match the original on every input once the correct key is applied.
+primary inputs, and add exactly the key inputs on top, each on a path to
+some primary output; functionally it must match the original on every
+input once the correct key is applied.
 """
 
 from __future__ import annotations
@@ -39,7 +40,8 @@ class Verdict:
 
 
 def structural_check(locked: LockedNetlist | Netlist, original: Netlist) -> list[str]:
-    """Interface diagnostics; empty list means the shape is right."""
+    """Interface diagnostics; empty list means the shape is right and
+    every key input is a primary input some primary output depends on."""
     locked = resolve_key_inputs(locked)
     netlist, keys = locked.netlist, locked.key_inputs
     diags: list[str] = []
@@ -58,6 +60,8 @@ def structural_check(locked: LockedNetlist | Netlist, original: Netlist) -> list
     for key in keys:
         if not netlist.is_primary_input(key):
             diags.append(f"key input is not a primary input: '{key}'")
+        elif key not in netlist.output_cone():
+            diags.append(f"key input reaches no primary output: '{key}'")
 
     locked_pos, orig_pos = set(netlist.primary_outputs), set(original.primary_outputs)
     for po in sorted(orig_pos - locked_pos):

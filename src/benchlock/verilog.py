@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import re
 
-from .errors import StructuralError, UnsupportedConstruct
+from .errors import UnsupportedConstruct
 from .netlist import Gate, GateKind, Netlist
 
 _PRIMITIVES = {
@@ -162,7 +162,5 @@ def parse_verilog_subset(text: str, name: str | None = None) -> Netlist:
         raise UnsupportedConstruct("no module found")
 
     netlist = Netlist(module_name or "verilog", inputs, outputs, gates)
-    diags = netlist.validate()
-    if diags:
-        raise StructuralError(diags)
+    netlist.require_valid()
     return netlist

@@ -1,8 +1,11 @@
+import datetime
+import itertools
 import json
 import re
 import shlex
 import subprocess
 import sys
+import types
 from pathlib import Path
 
 import jsonschema
@@ -11,6 +14,7 @@ import pytest
 import benchlock
 from benchlock.bench import emit_bench, parse_bench
 from benchlock.circuits import c17
+from benchlock import cli
 from benchlock.cli import _COMMANDS, build_parser, main
 from benchlock.report import load_report_schema, strip_volatile
 
@@ -129,15 +133,69 @@ def test_pipeline_report_and_determinism(tmp_path, c17_file):
     assert ra["timestamps"]["started"] is not None
 
 
-def test_pipeline_run_dir(tmp_path, c17_file):
-    rc = main(["pipeline", "--input", str(c17_file), "--key-size", "2",
-               "--seed", "3", "--run-dir", str(tmp_path / "runs")])
-    assert rc == 0
-    run_dirs = list((tmp_path / "runs").iterdir())
-    assert len(run_dirs) == 1
-    assert run_dirs[0].name.endswith("_s3")
-    files = {p.name for p in run_dirs[0].iterdir()}
-    assert files == {"c17.report.json", "c17.locked.bench", "c17.key"}
+def test_pipeline_run_dir(tmp_path, c17_file, monkeypatch):
+    # three runs in the same second with the same seed: the first keeps the
+    # plain name and its files, the later ones get numbered directories
+    class Frozen(datetime.datetime):
+        @classmethod
+        def now(cls, tz=None):
+            return cls(2026, 1, 2, 3, 4, 5)
+
+    monkeypatch.setattr(cli, "datetime", types.SimpleNamespace(datetime=Frozen))
+    runs = tmp_path / "runs"
+    argv = ["pipeline", "--input", str(c17_file), "--key-size", "2", "--seed", "3",
+            "--run-dir", str(runs)]
+    assert main(argv) == 0
+    first = runs / "20260102-030405_s3"
+    written = {p.name: p.stat().st_mtime_ns for p in first.iterdir()}
+    assert main(argv) == 0 and main(argv) == 0
+    assert sorted(p.name for p in runs.iterdir()) == [
+        first.name, f"{first.name}_2", f"{first.name}_3"]
+    assert {p.name: p.stat().st_mtime_ns for p in first.iterdir()} == written
+    for d in runs.iterdir():
+        assert {p.name for p in d.iterdir()} == {
+            "c17.report.json", "c17.locked.bench", "c17.key"}
+
+
+@pytest.mark.parametrize("command", ["attack", "llm-lock", "pipeline"])
+def test_report_is_started_before_the_work(tmp_path, c17_file, monkeypatch, command):
+    import benchlock.llm as llm
+    from benchlock.locking import LockConfig, lock
+
+    # one counter stamps the report and the start of the command's work
+    ticks = itertools.count()
+    monkeypatch.setattr("benchlock.report._now", lambda: f"{next(ticks):04d}")
+    work = []
+    locked_file = tmp_path / "locked.bench"
+    locked, key = lock(c17(), LockConfig(3, seed=42))
+    locked_file.write_text(emit_bench(locked.netlist))
+    if command == "llm-lock":
+        class Stamped(llm.MockTransport):
+            def send(self, *args):
+                work.append(f"{next(ticks):04d}")
+                return super().send(*args)
+
+        answer = f"# key={key.to_string()}\n" + emit_bench(locked.netlist)
+        monkeypatch.setattr(llm, "HttpTransport", lambda _: Stamped([answer]))
+    else:
+        sat_attack = cli.sat_attack
+
+        def stamped(*args, **kwargs):
+            work.append(f"{next(ticks):04d}")
+            return sat_attack(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "sat_attack", stamped)
+    path = tmp_path / "report.json"
+    argv = {
+        "attack": ["attack", "--locked", str(locked_file), "--oracle", str(c17_file)],
+        "llm-lock": ["llm-lock", "--input", str(c17_file), "--key-size", "3",
+                     "--endpoint", "http://localhost:1/unused"],
+        "pipeline": ["pipeline", "--input", str(c17_file), "--key-size", "3"],
+    }[command]
+    assert main([*argv, "--report", str(path)]) == 0
+    stamps = json.loads(path.read_text())["timestamps"]
+    assert len(work) == 1
+    assert stamps["started"] < work[0] < stamps["finished"]
 
 
 def test_pipeline_batch_jobs(tmp_path):

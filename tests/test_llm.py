@@ -450,6 +450,20 @@ def test_obfuscate_validator_error_messages():
     assert "declared key does not reproduce" in outcome(wide, wrong)
 
 
+def test_obfuscate_refuses_key_inputs_no_gate_reads():
+    # every key value is equivalent when no gate reads a key input, so the
+    # sweep alone would accept the declared key of a lock that locks nothing
+    c = c17()
+    keys = "".join(f"INPUT(keyinput{i})\n" for i in range(3))
+    answer = "# key=101\n" + keys + emit_bench(c)
+    with pytest.raises(ValidationFailed) as exc:
+        llm_obfuscate(MockTransport([answer] * 3), c, LockConfig(key_size=3),
+                      fallback=False)
+    want = "; ".join(f"key input reaches no primary output: 'keyinput{i}'"
+                     for i in range(3))
+    assert exc.value.outcomes == [f"InterfaceError: {want}"] * 3
+
+
 # -- run records -------------------------------------------------------------------------
 
 # Verilog the subset reader refuses, so conversion has no reference parse.

@@ -4,7 +4,7 @@ import itertools
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from benchlock.bench import emit_bench
@@ -35,6 +35,7 @@ from benchlock.locking import (
     select_nets,
 )
 from benchlock.netlist import Gate, GateKind, Netlist, truth_tables
+from benchlock.verify import structural_check
 
 
 def and_gate():
@@ -484,6 +485,33 @@ def test_correct_key_restores_the_original(strategy, n_inputs, n_gates, seed, k)
         got = truth_tables(apply_key(locked, key), original.primary_inputs)
         assert [got[po] for po in original.primary_outputs] == [
             want[po] for po in original.primary_outputs], (keygate, dummy)
+
+
+@pytest.mark.parametrize("strategy", SELECTION_STRATEGIES)
+@settings(derandomize=True, deadline=None, max_examples=15, database=None)
+@given(n_inputs=st.integers(2, 10), n_gates=st.integers(3, 40),
+       n_outputs=st.integers(1, 3), seed=st.integers(0, 10**6), k=st.integers(1, 6))
+def test_every_key_input_of_an_engine_lock_reaches_an_output(
+        strategy, n_inputs, n_gates, n_outputs, seed, k):
+    # few outputs leave nets no output depends on, which selection must skip
+    original = random_netlist(n_inputs, n_gates, seed, n_outputs=n_outputs)
+    k = min(k, len(eligible_nets(original)))
+    assume(k > 0)  # the only output may be a primary input
+    for keygate, dummy in itertools.product(KEYGATE_POLICIES, DUMMY_POLICIES):
+        cfg = LockConfig(k, keygate_policy=keygate, selection=strategy,
+                         dummy_policy=dummy, seed=seed)
+        try:
+            locked, _ = lock(original, cfg)
+        except (SelectionError, DummyError):
+            continue  # too few path-disjoint nets, or no cone-safe dummy
+        assert set(locked.key_inputs) <= _observable(locked.netlist), (keygate, dummy)
+        assert structural_check(locked, original) == [], (keygate, dummy)
+
+
+def test_select_nets_refuses_a_cycle():
+    with pytest.raises(StructuralError) as exc:
+        select_nets(_cyclic(), "random", 1)
+    assert exc.value.diagnostics == ["cycle: combinational loop through net 'x'"]
 
 
 def test_lock_rejects_zero_key():
