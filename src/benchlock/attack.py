@@ -94,18 +94,17 @@ def build_miter(locked: LockedNetlist | Netlist) -> MiterContext:
     netlist, key_inputs = locked.netlist, locked.key_inputs
     if not key_inputs:
         raise AttackError("netlist has no key inputs; nothing to attack")
-    keyset = set(key_inputs)
-    real_pis = [pi for pi in netlist.primary_inputs if pi not in keyset]
+    data_inputs = locked.data_inputs
 
     cnf, map_a, map_b, diff_vars = _miter(
-        netlist, netlist, real_pis, netlist.primary_outputs
+        netlist, netlist, data_inputs, netlist.primary_outputs
     )
     activator = cnf.new_var()
     cnf.add_clause([-activator] + diff_vars)
 
     return MiterContext(
         cnf=cnf,
-        pi_vars={pi: map_a[pi] for pi in real_pis},
+        pi_vars={pi: map_a[pi] for pi in data_inputs},
         key_vars_a={k: map_a[k] for k in key_inputs},
         key_vars_b={k: map_b[k] for k in key_inputs},
         diff_vars=diff_vars,
@@ -342,10 +341,7 @@ def corruption_stats(
     width = len(key_inputs)
     if width == 0:
         raise StatError("no key inputs: wrong keys do not exist")
-    if len(correct_key) != width:
-        raise StatError(
-            f"key width {len(correct_key)} does not match {width} key inputs"
-        )
+    correct = locked.key_bits(correct_key)
     if wrong_keys < 1 or inputs < 1:
         raise StatError("need at least one wrong key and one input sample")
 
@@ -354,17 +350,16 @@ def corruption_stats(
     for _ in range(wrong_keys):
         while True:
             cand = tuple(rng.getrandbits(1) for _ in range(width))
-            if cand != correct_key.bits:
+            if cand != correct:
                 break
         keys.append(cand)
 
-    keyset = set(key_inputs)
-    real_pis = [pi for pi in netlist.primary_inputs if pi not in keyset]
+    data_inputs = locked.data_inputs
     vectors = [
-        {pi: rng.getrandbits(1) for pi in real_pis} for _ in range(inputs)
+        {pi: rng.getrandbits(1) for pi in data_inputs} for _ in range(inputs)
     ]
     words = {
-        pi: sum(x[pi] << j for j, x in enumerate(vectors)) for pi in real_pis
+        pi: sum(x[pi] << j for j, x in enumerate(vectors)) for pi in data_inputs
     }
     want = oracle.batch(words, inputs)
     ones = (1 << inputs) - 1

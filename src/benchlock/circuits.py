@@ -175,15 +175,10 @@ def layered_netlist(
         everything.extend(layer)
 
     pos = sorted(rng.sample(previous, min(n_outputs, len(previous))))
-
-    # drop logic no output observes: one backward pass over the gates,
-    # which are in topological order
-    keep = set(pos)
-    for gate in reversed(gates):
-        if gate.output in keep:
-            keep.update(gate.inputs)
-    pruned = [g for g in gates if g.output in keep]
-    return Netlist(name or f"layered_s{seed}", pis, pos, pruned)
+    name = name or f"layered_s{seed}"
+    # drop logic no output observes
+    keep = Netlist(name, pis, pos, gates).output_cone()
+    return Netlist(name, pis, pos, [g for g in gates if g.output in keep])
 
 
 def c432_scale(seed: int = 433) -> Netlist:

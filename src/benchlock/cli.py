@@ -19,7 +19,7 @@ import sys
 from pathlib import Path
 
 from . import __version__
-from .attack import Oracle, corruption_stats, sat_attack
+from .attack import DEFAULT_TIMEOUT_MS, Oracle, corruption_stats, sat_attack
 from .bench import emit_bench, parse_bench
 from .errors import (
     AttackError,
@@ -162,7 +162,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--locked", required=True, help="locked .bench file")
     p.add_argument("--oracle", required=True, help="original .bench file (oracle)")
     _add_key_prefix(p)
-    p.add_argument("--timeout-ms", type=float, default=300_000.0,
+    p.add_argument("--timeout-ms", type=float, default=DEFAULT_TIMEOUT_MS,
                    help="attack time budget (default: 300000)")
     p.add_argument("--iteration-cap", type=int, default=None,
                    help="DIP cap (default: 2^min(k,20))")
@@ -200,7 +200,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--input", required=True, nargs="+",
                    help="input file(s), .v or .bench")
     _add_lock_flags(p)
-    p.add_argument("--timeout-ms", type=float, default=300_000.0)
+    p.add_argument("--timeout-ms", type=float, default=DEFAULT_TIMEOUT_MS)
     p.add_argument("--iteration-cap", type=int, default=None)
     p.add_argument("--wrong-keys", type=int, default=0,
                    help="also sample corruption with this many wrong keys")
@@ -387,18 +387,22 @@ def _new_run_dir(args) -> Path:
 def _pipeline_jobs(args) -> list[_Job]:
     """The job of each input: the paths given for a single input without
     --run-dir; else ``<stem>.report.json``, ``<stem>.locked.bench`` and
-    ``<stem>.key`` in the run directory or the --report directory."""
+    ``<stem>.key`` in the run directory or the --report directory, where
+    an input whose stem an earlier one took gets the first free
+    ``<stem>_2``, ``<stem>_3``, ..."""
     if len(args.input) == 1 and not args.run_dir:
         paths = (args.report, args.output, args.key_out)
         return [(args.input[0], *(Path(p) if p else None for p in paths))]
     base = _new_run_dir(args) if args.run_dir else Path(args.report or ".")
     base.mkdir(parents=True, exist_ok=True)
-    return [
-        (ip, base / f"{stem}.report.json", base / f"{stem}.locked.bench",
-         base / f"{stem}.key")
-        for ip in args.input
-        for stem in [Path(ip).stem]
-    ]
+    jobs: list[_Job] = []
+    stems: set[str] = set()
+    for ip in args.input:
+        stem = fresh_name(Path(ip).stem, stems)
+        stems.add(stem)
+        jobs.append((ip, base / f"{stem}.report.json",
+                     base / f"{stem}.locked.bench", base / f"{stem}.key"))
+    return jobs
 
 
 def _cmd_pipeline(args) -> int:

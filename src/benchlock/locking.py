@@ -103,6 +103,21 @@ class LockedNetlist:
     def key_size(self) -> int:
         return len(self.key_inputs)
 
+    @property
+    def data_inputs(self) -> tuple[str, ...]:
+        """The primary inputs that are not key inputs, in port order."""
+        keys = set(self.key_inputs)
+        return tuple(p for p in self.netlist.primary_inputs if p not in keys)
+
+    def key_bits(self, key: Key | tuple[int, ...]) -> tuple[int, ...]:
+        """The bits of ``key``; LockError unless there is one per key input."""
+        bits = tuple(key)
+        if len(bits) != self.key_size:
+            raise LockError(
+                f"key width {len(bits)} does not match {self.key_size} key inputs"
+            )
+        return bits
+
 
 @dataclass(frozen=True)
 class LockConfig:
@@ -566,16 +581,9 @@ def apply_key(
     first primary input.
     """
     locked = resolve_key_inputs(locked)
-    netlist, names = locked.netlist, locked.key_inputs
-    bits = tuple(key)
-    if len(bits) != len(names):
-        raise LockError(
-            f"key width {len(bits)} does not match {len(names)} key inputs"
-        )
-
-    keyset = set(names)
-    pis = [p for p in netlist.primary_inputs if p not in keyset]
-    gates, const = cofactor(netlist, dict(zip(names, bits)))
+    netlist, pis = locked.netlist, locked.data_inputs
+    bits = locked.key_bits(key)
+    gates, const = cofactor(netlist, dict(zip(locked.key_inputs, bits)))
 
     # materialize constant nets that something still reads
     still_read = {i for g in gates for i in g.inputs} | set(netlist.primary_outputs)

@@ -148,13 +148,11 @@ class Netlist:
             else:
                 self._driver[gate.output] = gate
 
-        self._loads: dict[str, list[tuple[int, int]]] | None = None
+        self._loads: dict[str, list[int]] | None = None
         self._fanin: dict[str, tuple[str, ...]] | None = None  # for tfi
-        self._fanout: dict[str, list[str]] | None = None  # for tfo
         self._diags: tuple[str, ...] | None = None
         self._sorted: tuple[tuple[Gate, ...], tuple[Gate, ...]] | None = None
         self._po_slots: Counter[str] | None = None
-        self._reads_unknown: bool | None = None  # a gate reads an unknown name
         self._cone: frozenset[str] | None = None  # for output_cone
 
     # -- basic accessors ----------------------------------------------------
@@ -167,31 +165,33 @@ class Netlist:
     def has_net(self, net: str) -> bool:
         return net in self._driver
 
+    def _require_net(self, net: str) -> None:
+        if net not in self._driver:
+            raise UnknownNet(f"unknown net: {net!r}")
+
     def driver(self, net: str) -> Gate | None:
         """Driving gate of a net, or None for a primary input."""
-        try:
-            return self._driver[net]
-        except KeyError:
-            raise UnknownNet(f"unknown net: {net!r}") from None
+        self._require_net(net)
+        return self._driver[net]
 
     def is_primary_input(self, net: str) -> bool:
         return self.has_net(net) and self._driver[net] is None
 
-    def _load_table(self) -> dict[str, list[tuple[int, int]]]:
+    def _load_table(self) -> dict[str, list[int]]:
+        """Net -> index of each gate reading it, once per input position."""
         if self._loads is None:
-            loads: dict[str, list[tuple[int, int]]] = {n: [] for n in self._driver}
+            loads: dict[str, list[int]] = {n: [] for n in self._driver}
             for gi, gate in enumerate(self.gates):
-                for slot, inp in enumerate(gate.inputs):
+                for inp in gate.inputs:
                     if inp in loads:
-                        loads[inp].append((gi, slot))
+                        loads[inp].append(gi)
             self._loads = loads
         return self._loads
 
     def load_gates(self, net: str) -> list[Gate]:
         """Gates reading a net, in gate order (duplicates if read twice)."""
-        if not self.has_net(net):
-            raise UnknownNet(f"unknown net: {net!r}")
-        return [self.gates[gi] for gi, _ in self._load_table()[net]]
+        self._require_net(net)
+        return [self.gates[gi] for gi in self._load_table()[net]]
 
     # -- validation ----------------------------------------------------------
 
@@ -338,28 +338,19 @@ class Netlist:
     def tfi(self, net: str) -> set[str]:
         """Transitive fan-in: nets reachable backward through drivers,
         excluding ``net`` itself."""
-        if not self.has_net(net):
-            raise UnknownNet(f"unknown net: {net!r}")
-        drivers = self._driver
-        cone = reach((net,), self._fanin_table())
-        if self._reads_unknown is None:
-            self._reads_unknown = any(
-                i not in drivers for gate in self.gates for i in gate.inputs
-            )
-        return cone & drivers.keys() if self._reads_unknown else cone
+        self._require_net(net)
+        return reach((net,), self._fanin_table()) & self._driver.keys()
 
     def tfo(self, net: str) -> set[str]:
         """Transitive fan-out: nets reachable forward through gate inputs,
         excluding ``net`` itself."""
-        if not self.has_net(net):
-            raise UnknownNet(f"unknown net: {net!r}")
-        if self._fanout is None:
-            gates = self.gates
-            self._fanout = {
-                n: [gates[gi].output for gi, _ in loads]
-                for n, loads in self._load_table().items()
-            }
-        return reach((net,), self._fanout)
+        self._require_net(net)
+        gates = self.gates
+        fanout = {
+            n: [gates[gi].output for gi in loads]
+            for n, loads in self._load_table().items()
+        }
+        return reach((net,), fanout)
 
     def _fanin_table(self) -> dict[str, tuple[str, ...]]:
         if self._fanin is None:
@@ -382,8 +373,7 @@ class Netlist:
     def fanout_count(self, net: str) -> int:
         """Number of gate-input positions plus primary-output slots reading
         the net."""
-        if not self.has_net(net):
-            raise UnknownNet(f"unknown net: {net!r}")
+        self._require_net(net)
         if self._po_slots is None:
             self._po_slots = Counter(self.primary_outputs)
         return len(self._load_table()[net]) + self._po_slots[net]
@@ -508,6 +498,15 @@ def vector_assignment(order: Iterable[str], j: int) -> dict[str, int]:
     return {pi: (j >> i) & 1 for i, pi in enumerate(order)}
 
 
+# (controlling input value, output inverted) of the AND/OR family
+_CONTROLLING = {
+    GateKind.AND: (0, 0),
+    GateKind.NAND: (0, 1),
+    GateKind.OR: (1, 0),
+    GateKind.NOR: (1, 1),
+}
+
+
 def _fold_constants(
     kind: GateKind, ins: list[str], vals: list[int | None]
 ) -> tuple[int | None, GateKind | None, list[str]]:
@@ -515,18 +514,10 @@ def _fold_constants(
     one not (so never a one-input gate; ``cofactor`` evaluates a gate whose
     inputs are all constant). Returns (constant, kind, inputs): either a
     constant output, or a simplified gate."""
-    if kind in (GateKind.AND, GateKind.NAND):
-        flip = kind is GateKind.NAND
-        if 0 in vals:
-            return (1 if flip else 0), None, []
-        rest = [i for i, v in zip(ins, vals) if v is None]
-        if len(rest) == 1:
-            return None, (GateKind.NOT if flip else GateKind.BUFF), rest
-        return None, kind, rest
-    if kind in (GateKind.OR, GateKind.NOR):
-        flip = kind is GateKind.NOR
-        if 1 in vals:
-            return (0 if flip else 1), None, []
+    if kind in _CONTROLLING:
+        control, flip = _CONTROLLING[kind]
+        if control in vals:
+            return control ^ flip, None, []
         rest = [i for i, v in zip(ins, vals) if v is None]
         if len(rest) == 1:
             return None, (GateKind.NOT if flip else GateKind.BUFF), rest

@@ -21,13 +21,13 @@ def _now() -> str:
     return datetime.datetime.now(datetime.timezone.utc).isoformat()
 
 
-def new_report(circuit: str | None = None, config: dict | None = None) -> dict:
+def new_report(config: dict | None = None) -> dict:
     from . import __version__
 
     return {
         "schema_version": SCHEMA_VERSION,
         "tool": {"name": TOOL_NAME, "version": __version__},
-        "circuit": circuit,
+        "circuit": None,
         "config": config,
         "stats_before": None,
         "stats_after": None,

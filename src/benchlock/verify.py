@@ -12,7 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .attack import equivalence_check
-from .errors import LockError
 from .locking import Key, LockedNetlist, apply_key, resolve_key_inputs
 from .netlist import EXHAUSTIVE_PI_LIMIT, Netlist, truth_tables, vector_assignment
 
@@ -86,11 +85,7 @@ def functional_verify(
     if mode not in ("auto", "exhaustive", "sat"):
         raise ValueError(f"unknown verify mode: {mode!r}")
     locked = resolve_key_inputs(locked)
-    bits = tuple(key)
-    if len(bits) != locked.key_size:
-        raise LockError(
-            f"key width {len(bits)} does not match {locked.key_size} key inputs"
-        )
+    bits = locked.key_bits(key)
 
     diags = structural_check(locked, original)
     if diags:

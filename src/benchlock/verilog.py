@@ -14,17 +14,12 @@ from __future__ import annotations
 import re
 
 from .errors import UnsupportedConstruct
-from .netlist import Gate, GateKind, Netlist
+from .netlist import GATE_KINDS, Gate, GateKind, Netlist
 
+# primitive name -> (kind, exact input count or 0)
 _PRIMITIVES = {
-    "and": GateKind.AND,
-    "nand": GateKind.NAND,
-    "or": GateKind.OR,
-    "nor": GateKind.NOR,
-    "xor": GateKind.XOR,
-    "xnor": GateKind.XNOR,
-    "not": GateKind.NOT,
-    "buf": GateKind.BUFF,
+    name.lower(): GATE_KINDS[name]
+    for name in ("AND", "NAND", "OR", "NOR", "XOR", "XNOR", "NOT", "BUF")
 }
 
 _IDENT = r"[A-Za-z_][A-Za-z0-9_]*"
@@ -125,7 +120,7 @@ def parse_verilog_subset(text: str, name: str | None = None) -> Netlist:
             continue
 
         if head in _PRIMITIVES:
-            kind = _PRIMITIVES[head]
+            kind, arity = _PRIMITIVES[head]
             rest = stmt[len(head):].strip()
             matched_upto = 0
             instances = []
@@ -149,7 +144,7 @@ def parse_verilog_subset(text: str, name: str | None = None) -> Netlist:
                         f"{head} instance needs an output and at least one input",
                         lineno,
                     )
-                if kind in (GateKind.NOT, GateKind.BUFF) and len(ports) != 2:
+                if arity == 1 and len(ports) != 2:
                     raise UnsupportedConstruct(
                         f"multi-output {head} instances are not supported", lineno
                     )

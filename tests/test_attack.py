@@ -18,7 +18,7 @@ from benchlock.attack import (
     sat_attack,
 )
 from benchlock.circuits import c17, c432_scale, parallel_cones, random_netlist
-from benchlock.errors import AttackError, InterfaceError, StatError
+from benchlock.errors import AttackError, InterfaceError, LockError, StatError
 from benchlock.locking import (
     DUMMY_POLICIES,
     KEYGATE_POLICIES,
@@ -144,6 +144,31 @@ def test_attack_recovers_across_policies(policy):
     result = sat_attack(locked, Oracle(c))
     assert result.status == "key_recovered"
     assert result.iterations <= 2 ** 6
+
+
+@settings(derandomize=True, deadline=None, max_examples=150, database=None)
+@given(
+    circuit_seed=st.integers(0, 10_000),
+    n_inputs=st.integers(3, 8),
+    n_gates=st.integers(8, 30),
+    key_size=st.integers(1, 6),
+    policy=st.sampled_from(KEYGATE_POLICIES),
+    dummy=st.sampled_from(DUMMY_POLICIES),
+    lock_seed=st.integers(0, 10_000),
+)
+def test_a_recovered_key_is_equivalent_to_the_oracle(
+    circuit_seed, n_inputs, n_gates, key_size, policy, dummy, lock_seed,
+):
+    n = random_netlist(n_inputs, n_gates, circuit_seed)
+    locked, _ = lock(n, LockConfig(key_size=key_size, keygate_policy=policy,
+                                   dummy_policy=dummy, seed=lock_seed))
+    result = sat_attack(locked, Oracle(n), timeout_ms=None)
+    assert result.status == "key_recovered"
+    # truth tables, not the attack's own SAT check
+    got = truth_tables(apply_key(locked, result.recovered_key), n.primary_inputs)
+    want = truth_tables(n)
+    assert [got[po] for po in n.primary_outputs] == [
+        want[po] for po in n.primary_outputs]
 
 
 def test_attack_iteration_cap_aborts():
@@ -454,3 +479,5 @@ def test_corruption_requires_keys_and_samples():
         corruption_stats(c, Oracle(c), Key(()), wrong_keys=1, inputs=1)
     with pytest.raises(StatError):
         corruption_stats(locked, Oracle(c), key, wrong_keys=0, inputs=5)
+    with pytest.raises(LockError, match="key width 3 does not match 4 key inputs"):
+        corruption_stats(locked, Oracle(c), Key(key.bits[:3]), wrong_keys=1, inputs=1)

@@ -110,6 +110,21 @@ def test_corrupt_prints_stats(tmp_path, c17_file, capsys):
     assert 0.0 <= stats["corruption_rate"] <= 1.0
 
 
+def test_corrupt_key_width_mismatch_exits_two_with_a_lock_error(
+        tmp_path, c17_file, capsys):
+    locked = tmp_path / "locked.bench"
+    keyfile = tmp_path / "c17.key"
+    main(["lock", "--input", str(c17_file), "--key-size", "4", "--seed", "42",
+          "--output", str(locked), "--key-out", str(keyfile)])
+    keyfile.write_text("101\n")
+    capsys.readouterr()
+    rc = main(["corrupt", "--locked", str(locked), "--original", str(c17_file),
+               "--key", str(keyfile), "--json-errors"])
+    assert rc == 2
+    assert json.loads(capsys.readouterr().err) == {"error": {
+        "type": "LockError", "message": "key width 3 does not match 4 key inputs"}}
+
+
 def test_pipeline_report_and_determinism(tmp_path, c17_file):
     reports = []
     for name in ("one", "two"):
@@ -211,6 +226,27 @@ def test_pipeline_batch_jobs(tmp_path):
     assert rc == 0
     names = {p.name for p in outdir.iterdir()}
     assert "adder.report.json" in names and "cones.report.json" in names
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_pipeline_inputs_sharing_a_stem_keep_their_own_files(tmp_path, jobs):
+    # c17 and the full adder, both named c.bench: the second gets c_2.*
+    from benchlock.circuits import full_adder
+
+    inputs = []
+    for sub, netlist in (("a", c17()), ("b", full_adder())):
+        (tmp_path / sub).mkdir()
+        inputs.append(tmp_path / sub / "c.bench")
+        inputs[-1].write_text(emit_bench(netlist))
+    outdir = tmp_path / "out"
+    assert main(["pipeline", "--input", *map(str, inputs), "--key-size", "2",
+                 "--jobs", jobs, "--report", str(outdir)]) == 0
+    assert sorted(p.name for p in outdir.iterdir()) == sorted(
+        f"{stem}{ext}" for stem in ("c", "c_2")
+        for ext in (".report.json", ".locked.bench", ".key"))
+    for stem, n_inputs in (("c", 7), ("c_2", 5)):
+        locked = parse_bench((outdir / f"{stem}.locked.bench").read_text())
+        assert len(locked.primary_inputs) == n_inputs
 
 
 def test_calls_in_one_process_match_fresh_processes(tmp_path, monkeypatch, capsys):

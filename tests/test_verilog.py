@@ -1,10 +1,12 @@
 import itertools
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from benchlock.bench import parse_bench
 from benchlock.errors import StructuralError, UnsupportedConstruct
-from benchlock.netlist import GateKind
+from benchlock.netlist import Gate, GateKind, Netlist
 from benchlock.verilog import parse_verilog_subset
 
 NAND_MODULE = """module m(a, b, y);
@@ -128,3 +130,82 @@ cout = OR(ab, cx)
     for bits in itertools.product((0, 1), repeat=3):
         x = dict(zip(("a", "b", "cin"), bits))
         assert v.simulate(x) == b.simulate(x)
+
+
+_SUPPORTED_KINDS = {
+    "and": GateKind.AND, "nand": GateKind.NAND, "or": GateKind.OR,
+    "nor": GateKind.NOR, "xor": GateKind.XOR, "xnor": GateKind.XNOR,
+    "not": GateKind.NOT, "buf": GateKind.BUFF,
+}
+# one statement of each construct the subset refuses
+_UNSUPPORTED = {
+    "always": "always @(i0) z = i0;",
+    "operator": "assign z = i0 & i0;",
+    "bus": "wire [3:0] bus;",
+    "parameter": "parameter W = 4;",
+    "multi-output not": "not (z1, z2, i0);",
+}
+
+
+@st.composite
+def verilog_modules(draw):
+    """(module text, the netlist it declares, the unsupported construct in
+    it or None). Supported statements only, in any order, plus at most one
+    construct the subset refuses."""
+    pis = [f"i{j}" for j in range(draw(st.integers(1, 4)))]
+    nets, gates, statements = list(pis), [], []
+    for j in range(draw(st.integers(1, 8))):
+        out = f"g{j}"
+        prim = draw(st.sampled_from(sorted(_SUPPORTED_KINDS) + ["assign"]))
+        if prim == "assign":
+            src = draw(st.sampled_from(nets))
+            gates.append(Gate(out, GateKind.BUFF, (src,)))
+            statements.append([f"assign {out} = {src}"])
+        else:
+            kind = _SUPPORTED_KINDS[prim]
+            n_ins = 1 if kind in (GateKind.NOT, GateKind.BUFF) else draw(
+                st.integers(2, 4))
+            ins = [draw(st.sampled_from(nets)) for _ in range(n_ins)]
+            gates.append(Gate(out, kind, ins))
+            label = draw(st.sampled_from(["", f"u{j} "]))
+            instance = f"{label}({', '.join([out, *ins])})"
+            if statements and statements[-1][0] == prim and draw(st.booleans()):
+                statements[-1].append(instance)  # prim (a, ..), (b, ..);
+            else:
+                statements.append([prim, instance])
+        nets.append(out)
+    pos = draw(st.lists(st.sampled_from(nets[len(pis):]), min_size=1, max_size=3,
+                        unique=True))
+    wires = [g.output for g in gates if g.output not in pos]
+    body = [f"input {', '.join(pis)};", f"output {', '.join(pos)};"]
+    if wires:
+        body.append(f"wire {', '.join(wires)};")
+    body += draw(st.permutations([
+        f"{s[0]};" if s[0].startswith("assign") else f"{s[0]} {', '.join(s[1:])};"
+        for s in statements
+    ]))
+    header = f"module m ({', '.join(pis + pos)});"
+    footer = ["endmodule"]
+    bad = draw(st.one_of(st.none(), st.sampled_from(
+        sorted(_UNSUPPORTED) + ["ansi port", "second module"])))
+    if bad == "ansi port":
+        header = f"module m (input {pis[0]}, output {pos[0]});"
+    elif bad == "second module":
+        footer += ["module extra (a);", "input a;", "endmodule"]
+    elif bad is not None:
+        body.insert(draw(st.integers(0, len(body))), _UNSUPPORTED[bad])
+    text = "\n".join([header, *body, *footer]) + "\n"
+    return text, Netlist("m", pis, pos, gates), bad
+
+
+@settings(derandomize=True, deadline=None, max_examples=200, database=None)
+@given(module=verilog_modules())
+def test_reader_parses_or_refuses_and_never_drops_a_construct(module):
+    text, want, bad = module
+    if bad is not None:
+        with pytest.raises(UnsupportedConstruct):
+            parse_verilog_subset(text)
+        return
+    got = parse_verilog_subset(text)
+    assert got.name == want.name
+    assert got.structurally_equal(want)
