@@ -76,8 +76,13 @@ def _miter(
     in ``outputs`` order).
     """
     cnf = CnfFormula()
-    map_a = encode_into(cnf, a)
-    map_b = encode_into(cnf, b, {pi: map_a[pi] for pi in shared_pis})
+    inputs = {pi: cnf.new_var() for pi in a.primary_inputs}
+    map_a = encode_into(cnf, a.topo_order(), inputs)
+    shared = set(shared_pis)
+    inputs = {
+        pi: map_a[pi] if pi in shared else cnf.new_var() for pi in b.primary_inputs
+    }
+    map_b = encode_into(cnf, b.topo_order(), inputs)
     diff_vars = []
     for po in outputs:
         va, vb = map_a[po], map_b[po]
@@ -159,8 +164,7 @@ def _pin_dip(
         for net in fixed:
             var = shared[net] = cnf.new_var()
             cnf.add(var if const[net] else -var)
-        rest = Netlist(netlist.name, list(shared), [], gates)
-        copy = encode_into(cnf, rest, shared)
+        copy = encode_into(cnf, gates, shared)
         for po, bit in response.items():
             if po not in const:
                 cnf.add(copy[po] if bit else -copy[po])
@@ -181,11 +185,14 @@ def sat_attack(
     before returning. The time budget is checked after the miter is
     built, before each solver call and before each DIP is encoded, and
     inside the solver. Hitting it or the iteration cap returns an aborted
-    result carrying the DIP trace so far.
+    result carrying the DIP trace so far. An oracle whose ports are not
+    the locked netlist's data inputs and outputs raises InterfaceError
+    before the first query.
     """
     t0 = time.monotonic()
     locked = resolve_key_inputs(locked)
     netlist = locked.netlist
+    _require_interface(locked.data_inputs, netlist.primary_outputs, oracle.netlist)
     miter = build_miter(locked)
     if iteration_cap is None:
         iteration_cap = 1 << min(len(miter.key_inputs), 20)
@@ -262,6 +269,22 @@ def sat_attack(
     return result("key_recovered", key)
 
 
+def _require_interface(
+    inputs: Iterable[str], outputs: Iterable[str], reference: Netlist
+) -> None:
+    """InterfaceError unless ``inputs`` and ``outputs`` name the primary
+    inputs and outputs of ``reference``, in any order; ``missing`` lists
+    the reference's names absent from them, ``extra`` the others."""
+    for what, got, want in (
+        ("inputs", set(inputs), set(reference.primary_inputs)),
+        ("outputs", set(outputs), set(reference.primary_outputs)),
+    ):
+        if got != want:
+            raise InterfaceError(
+                f"primary {what} differ", missing=want - got, extra=got - want
+            )
+
+
 @dataclass
 class EquivalenceResult:
     equivalent: bool
@@ -278,18 +301,8 @@ def equivalence_check(
     counterexample, which is re-validated by simulation before being
     reported.
     """
-    a_pis, b_pis = set(a.primary_inputs), set(b.primary_inputs)
-    if a_pis != b_pis:
-        raise InterfaceError(
-            "primary inputs differ", missing=b_pis - a_pis, extra=a_pis - b_pis
-        )
-    a_pos, b_pos = set(a.primary_outputs), set(b.primary_outputs)
-    if a_pos != b_pos:
-        raise InterfaceError(
-            "primary outputs differ", missing=b_pos - a_pos, extra=a_pos - b_pos
-        )
-
-    cnf, map_a, _, diff = _miter(a, b, a.primary_inputs, sorted(a_pos))
+    _require_interface(a.primary_inputs, a.primary_outputs, b)
+    cnf, map_a, _, diff = _miter(a, b, a.primary_inputs, sorted(set(a.primary_outputs)))
     cnf.add_clause(diff)
 
     outcome = solve(cnf, timeout_ms=timeout_ms)
@@ -334,10 +347,13 @@ def corruption_stats(
     the number of differing outputs over all pairs. Deterministic for a
     fixed seed. The sampled inputs are packed one per bit: the oracle
     answers them in one batch (one query per input), and the locked
-    netlist is simulated once per wrong key.
+    netlist is simulated once per wrong key. An oracle whose ports are
+    not the locked netlist's data inputs and outputs raises
+    InterfaceError before the query.
     """
     locked = resolve_key_inputs(locked)
     netlist, key_inputs = locked.netlist, locked.key_inputs
+    _require_interface(locked.data_inputs, netlist.primary_outputs, oracle.netlist)
     width = len(key_inputs)
     if width == 0:
         raise StatError("no key inputs: wrong keys do not exist")

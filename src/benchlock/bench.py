@@ -87,9 +87,7 @@ def parse_bench_document(text: str, name: str = "bench") -> BenchDocument:
         # names hold no whitespace, so dropping it all leaves name,name,...
         gates.append(Gate(out, entry[0], "".join(args.split()).split(",")))
 
-    netlist = Netlist(name, inputs, outputs, gates)
-    netlist.require_valid()
-    return BenchDocument(tuple(comments), netlist)
+    return BenchDocument(tuple(comments), Netlist(name, inputs, outputs, gates))
 
 
 def parse_bench(text: str, name: str = "bench") -> Netlist:

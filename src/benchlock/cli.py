@@ -1,10 +1,11 @@
 """Command-line surface for the full lock/attack/verify pipeline.
 
 Exit codes: 0 success, 1 operational failure (attack aborted, verify
-mismatch, LLM gave up), 2 usage or input errors, including an AttackError:
-a locked netlist with no key inputs, or one that no key makes consistent
-with the oracle, is bad input. With --json-errors a machine-readable error
-object goes to stderr instead of prose.
+mismatch, LLM gave up), 2 usage or input errors, including an AttackError
+(a locked netlist with no key inputs, or one that no key makes consistent
+with the oracle, is bad input) and an InterfaceError (an oracle whose
+ports are not the locked netlist's). With --json-errors a
+machine-readable error object goes to stderr instead of prose.
 """
 
 from __future__ import annotations
@@ -210,8 +211,10 @@ def build_parser() -> argparse.ArgumentParser:
                    help="report path (single input) or directory (batch)")
     p.add_argument("--run-dir", default=None,
                    help="create a <timestamp>_s<seed> run directory here")
-    p.add_argument("--output", default=None, help="locked .bench output path")
-    p.add_argument("--key-out", default=None, help="key file output path")
+    p.add_argument("--output", default=None,
+                   help="locked .bench output path (single input only)")
+    p.add_argument("--key-out", default=None,
+                   help="key file output path (single input only)")
     p.add_argument("--jobs", type=int, default=1,
                    help="parallel workers in batch mode (default: 1)")
 
@@ -389,10 +392,14 @@ def _pipeline_jobs(args) -> list[_Job]:
     --run-dir; else ``<stem>.report.json``, ``<stem>.locked.bench`` and
     ``<stem>.key`` in the run directory or the --report directory, where
     an input whose stem an earlier one took gets the first free
-    ``<stem>_2``, ``<stem>_3``, ..."""
+    ``<stem>_2``, ``<stem>_3``, ... There --output and --key-out are
+    usage errors, raised before anything is written."""
     if len(args.input) == 1 and not args.run_dir:
         paths = (args.report, args.output, args.key_out)
         return [(args.input[0], *(Path(p) if p else None for p in paths))]
+    for flag, path in (("--output", args.output), ("--key-out", args.key_out)):
+        if path:
+            raise ValueError(f"{flag} needs a single --input and no --run-dir")
     base = _new_run_dir(args) if args.run_dir else Path(args.report or ".")
     base.mkdir(parents=True, exist_ok=True)
     jobs: list[_Job] = []

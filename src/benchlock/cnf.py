@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from typing import Iterable, Mapping
 
 from .errors import CnfError
-from .netlist import GateKind, Netlist, input_patterns
+from .netlist import Gate, GateKind, Netlist, input_patterns
 
 VarMap = dict  # net name -> variable index, one circuit copy
 
@@ -95,23 +95,20 @@ def _xor2(cnf: CnfFormula, y: int, a: int, b: int) -> None:
 
 
 def encode_into(
-    cnf: CnfFormula, netlist: Netlist, shared: Mapping[str, int] | None = None
+    cnf: CnfFormula, gates: Iterable[Gate], inputs: Mapping[str, int]
 ) -> VarMap:
-    """Append a Tseitin copy of ``netlist`` to ``cnf``.
+    """Append a Tseitin copy of ``gates`` to ``cnf``.
 
-    Primary inputs listed in ``shared`` reuse the given variables instead
-    of fresh ones (used to tie PI or key variables across circuit copies).
-    Gates are walked in topological order; a BUFF aliases its input's
+    ``gates`` is in topological order, and ``inputs`` gives the variable
+    of every net no gate drives (fresh primary inputs, or PI and key
+    variables tied across circuit copies). A BUFF aliases its input's
     variable, and a gate identical in kind and input variables to one
     already in ``cnf`` shares its variable, so a second copy adds only
     the gates that read something the first does not. Returns the
-    net -> variable map of this copy.
+    net -> variable map of this copy, ``inputs`` included.
     """
-    shared = shared or {}
-    varmap: VarMap = {
-        pi: shared.get(pi) or cnf.new_var() for pi in netlist.primary_inputs
-    }
-    for gate in netlist.topo_order():
+    varmap: VarMap = dict(inputs)
+    for gate in gates:
         ins = [varmap[i] for i in gate.inputs]
         if gate.kind is GateKind.BUFF:
             varmap[gate.output] = ins[0]
@@ -126,13 +123,12 @@ def encode_into(
 
 
 def tseitin(netlist: Netlist) -> tuple[CnfFormula, VarMap]:
-    """Encode a valid netlist: BUFFs alias their input, identical gates
-    share a variable, numbering follows topological order, and n-ary
-    XOR/XNOR chains add auxiliaries."""
-    netlist.require_valid()
+    """Encode a netlist: BUFFs alias their input, identical gates share a
+    variable, numbering follows topological order, and n-ary XOR/XNOR
+    chains add auxiliaries."""
     cnf = CnfFormula()
-    varmap = encode_into(cnf, netlist)
-    return cnf, varmap
+    inputs = {pi: cnf.new_var() for pi in netlist.primary_inputs}
+    return cnf, encode_into(cnf, netlist.topo_order(), inputs)
 
 
 # -- DIMACS ------------------------------------------------------------------

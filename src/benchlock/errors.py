@@ -8,7 +8,7 @@ class BenchlockError(Exception):
 class StructuralError(BenchlockError):
     """A netlist violates a structural invariant (cycle, multi-driver, ...).
 
-    Carries the full diagnostic list produced by ``Netlist.validate``.
+    Raised by the ``Netlist`` constructor, carrying every diagnostic.
     """
 
     def __init__(self, diagnostics):

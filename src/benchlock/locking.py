@@ -182,10 +182,8 @@ def eligible_nets(netlist: Netlist) -> list[str]:
     A net qualifies when it is in ``netlist.output_cone()`` (a key gate
     on any other net would lock nothing), unless it is both a primary
     input and a primary output (no spot to splice a key gate without
-    renaming a port). The netlist must be valid: a cycle raises
-    StructuralError.
+    renaming a port).
     """
-    netlist.topo_order()  # raises on a cycle
     cone = netlist.output_cone()
     ports = set(netlist.primary_inputs).intersection(netlist.primary_outputs)
     return [n for n in netlist.nets if n in cone and n not in ports]
@@ -205,9 +203,7 @@ def select_nets(
     cone_size and sll rank by fan-in and fan-out bitsets (bit i is net i
     of ``netlist.nets``), built in one forward and one backward pass over
     ``topo_order()`` and dropped on return; |tfi|+|tfo| is a bit count,
-    and sll tests a candidate against the union of the chosen cones. The
-    netlist must be valid (``lock`` checks it): a cycle raises
-    StructuralError.
+    and sll tests a candidate against the union of the chosen cones.
     """
     if strategy not in SELECTION_STRATEGIES:
         raise SelectionError(f"unknown selection strategy: {strategy!r}")
@@ -244,15 +240,13 @@ def select_nets(
     for gate in order:
         cone = 0
         for inp in gate.inputs:
-            if inp in bit:
-                cone |= fanin[inp] | bit[inp]
+            cone |= fanin[inp] | bit[inp]
         fanin[gate.output] = cone
     fanout = dict.fromkeys(bit, 0)
     for gate in reversed(order):
         cone = fanout[gate.output] | bit[gate.output]
         for inp in gate.inputs:
-            if inp in bit:
-                fanout[inp] |= cone
+            fanout[inp] |= cone
     ranked = sorted(
         pool,
         key=lambda n: (-(fanin[n].bit_count() + fanout[n].bit_count()), n),
@@ -441,7 +435,7 @@ def _insert(
     prefix: str,
 ) -> LockedNetlist:
     """Splice key gates per plan entries (index, target, bit, style) into
-    a valid netlist."""
+    a netlist."""
     targets = [t for _, t, _, _ in plan]
     if len(set(targets)) != len(targets):
         raise LockError("lock targets must be distinct")
@@ -483,11 +477,9 @@ def _insert(
         key_inputs.append(key_in)
         bits.append(bit)
 
-    locked = bench.snapshot()
-    diags = locked.validate()
-    # insertion must never break the invariants; a diagnostic here is a bug
-    assert not diags, f"locking produced an invalid netlist: {diags}"
-    return LockedNetlist(locked, tuple(key_inputs), Key(tuple(bits)), tuple(records))
+    return LockedNetlist(
+        bench.snapshot(), tuple(key_inputs), Key(tuple(bits)), tuple(records)
+    )
 
 
 def insert_xor_keygates(
@@ -501,7 +493,6 @@ def insert_xor_keygates(
     bits = tuple(key_bits)
     if len(nets) != len(bits):
         raise LockError(f"{len(nets)} nets vs {len(bits)} key bits")
-    netlist.require_valid()
     plan = [(i, n, b, "xor") for i, (n, b) in enumerate(zip(nets, bits))]
     return _insert(netlist, plan, "other_cone_net", random.Random(0), prefix)
 
@@ -526,7 +517,6 @@ def insert_mux_keygates(
         raise LockError(f"{len(nets)} nets vs {len(bits)} key bits")
     if dummy_policy not in DUMMY_POLICIES:
         raise LockError(f"unknown dummy policy: {dummy_policy!r}")
-    netlist.require_valid()
     plan = [(i, n, b, "mux") for i, (n, b) in enumerate(zip(nets, bits))]
     return _insert(netlist, plan, dummy_policy, random.Random(seed), prefix)
 
@@ -535,10 +525,9 @@ def lock(netlist: Netlist, config: LockConfig) -> tuple[LockedNetlist, Key]:
     """Full locking flow: key generation, net selection, key-gate insertion.
 
     Byte-deterministic for a fixed (netlist, config): all sub-seeds derive
-    from config.seed. An invalid input raises StructuralError.
+    from config.seed.
     """
     cfg = config.normalized()
-    netlist.require_valid()
     root = random.Random(cfg.seed)
     key_seed, select_seed, split_seed, dummy_seed = (
         root.getrandbits(64) for _ in range(4)
@@ -596,11 +585,7 @@ def apply_key(
             raise LockError("cannot materialize a constant without any primary input")
         header.append(Gate(net, GateKind.XNOR if bit else GateKind.XOR, (anchor, anchor)))
 
-    result = Netlist(netlist.name, pis, netlist.primary_outputs, header + gates)
-    diags = result.validate()
-    if diags:
-        raise LockError(f"applying the key broke the netlist: {'; '.join(diags)}")
-    return result
+    return Netlist(netlist.name, pis, netlist.primary_outputs, header + gates)
 
 
 def detect_key_inputs(netlist: Netlist, prefix: str = KEY_PREFIX) -> list[str]:

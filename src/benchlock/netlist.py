@@ -1,8 +1,9 @@
-"""Combinational gate-level netlist IR: construction, validation, simulation,
-and structural analysis (cones, fanout, counts).
+"""Combinational gate-level netlist IR: construction, simulation, and
+structural analysis (cones, fanout, counts).
 
 A net is a named single-driver signal; drivers are primary inputs or gate
-outputs. Netlists are immutable after construction — transformations build
+outputs. A Netlist is valid by construction, so no caller checks one it is
+given. Netlists are immutable after construction — transformations build
 new instances.
 """
 
@@ -114,7 +115,10 @@ def eval_gate(kind: GateKind, vals: list[int], ones: int = 1) -> int:
 
 
 class Netlist:
-    """Ordered, immutable-by-convention combinational netlist.
+    """Ordered, immutable-by-convention combinational netlist, valid by
+    construction: the constructor raises StructuralError carrying every
+    diagnostic, in this order: bad net names, multiple drivers, bad arity
+    and reads of unknown nets, outputs that name no net, then a cycle.
 
     Parameters
     ----------
@@ -132,26 +136,28 @@ class Netlist:
         self.primary_outputs = tuple(primary_outputs)
         self.gates = tuple(gates)
 
-        # Driver table in declaration order. First driver wins so that an
-        # invalid netlist can still be inspected; duplicates are kept for
-        # validate().
+        # Driver table in declaration order; a net driven twice keeps its
+        # first driver, so the diagnostics can still walk the netlist.
         self._driver: dict[str, Gate | None] = {}
-        self._redefined: list[str] = []
+        redefined: list[str] = []
         for pi in self.primary_inputs:
             if pi in self._driver:
-                self._redefined.append(pi)
+                redefined.append(pi)
             else:
                 self._driver[pi] = None
         for gate in self.gates:
             if gate.output in self._driver:
-                self._redefined.append(gate.output)
+                redefined.append(gate.output)
             else:
                 self._driver[gate.output] = gate
 
+        order, leftover = self._kahn(redefined)
+        diags = self._diagnostics(redefined, leftover)
+        if diags:
+            raise StructuralError(diags)
+        self._order = order
         self._loads: dict[str, list[int]] | None = None
         self._fanin: dict[str, tuple[str, ...]] | None = None  # for tfi
-        self._diags: tuple[str, ...] | None = None
-        self._sorted: tuple[tuple[Gate, ...], tuple[Gate, ...]] | None = None
         self._po_slots: Counter[str] | None = None
         self._cone: frozenset[str] | None = None  # for output_cone
 
@@ -183,8 +189,7 @@ class Netlist:
             loads: dict[str, list[int]] = {n: [] for n in self._driver}
             for gi, gate in enumerate(self.gates):
                 for inp in gate.inputs:
-                    if inp in loads:
-                        loads[inp].append(gi)
+                    loads[inp].append(gi)
             self._loads = loads
         return self._loads
 
@@ -193,24 +198,11 @@ class Netlist:
         self._require_net(net)
         return [self.gates[gi] for gi in self._load_table()[net]]
 
-    # -- validation ----------------------------------------------------------
+    # -- construction checks ---------------------------------------------------
 
-    def validate(self) -> list[str]:
-        """Return all invariant violations; an empty list means valid.
-
-        Computed once per netlist; each call returns a fresh list.
-        """
-        if self._diags is None:
-            self._diags = tuple(self._diagnostics())
-        return list(self._diags)
-
-    def require_valid(self) -> None:
-        """Raise StructuralError carrying every ``validate()`` diagnostic."""
-        diags = self.validate()
-        if diags:
-            raise StructuralError(diags)
-
-    def _diagnostics(self) -> list[str]:
+    def _diagnostics(
+        self, redefined: list[str], leftover: tuple[Gate, ...]
+    ) -> list[str]:
         diags: list[str] = []
         driver = self._driver
         if not (all(driver) and NET_NAME_RE.fullmatch("".join(driver))):
@@ -219,7 +211,7 @@ class Netlist:
                 for net in driver
                 if not NET_NAME_RE.fullmatch(net)
             )
-        for net in self._redefined:
+        for net in redefined:
             diags.append(f"multi-driver: net '{net}' has more than one driver")
         for gate in self.gates:
             if not gate.kind.arity_ok(len(gate.inputs)):
@@ -235,39 +227,35 @@ class Netlist:
         for po in self.primary_outputs:
             if po not in driver:
                 diags.append(f"undriven: primary output '{po}' names no net")
-        diags.extend(self._cycle_diagnostics())
+        if leftover:
+            diags.append(self._cycle_diagnostic(leftover))
         return diags
 
-    def _cycle_diagnostics(self) -> list[str]:
-        _, leftover = self._kahn()
-        if not leftover:
-            return []
+    def _cycle_diagnostic(self, leftover: tuple[Gate, ...]) -> str:
         # Walk drivers inside the leftover set until a net repeats.
         member = {g.output for g in leftover}
-        start = leftover[0].output
         seen: list[str] = []
-        net = start
+        net = leftover[0].output
         while net not in seen:
             seen.append(net)
             gate = self._driver.get(net)
             if gate is None:
                 break
             net = next((i for i in gate.inputs if i in member), gate.inputs[0])
-        return [f"cycle: combinational loop through net '{net}'"]
+        return f"cycle: combinational loop through net '{net}'"
 
     # -- topological order ----------------------------------------------------
 
-    def _kahn(self) -> tuple[tuple[Gate, ...], tuple[Gate, ...]]:
+    def _kahn(
+        self, redefined: list[str]
+    ) -> tuple[tuple[Gate, ...], tuple[Gate, ...]]:
         """Deterministic Kahn layering; ties broken by original gate order.
 
-        Returns (ordered gates, gates stuck on a cycle), computed once.
+        Returns (ordered gates, gates stuck on a cycle).
         """
-        if self._sorted is not None:
-            return self._sorted
-        if not self._redefined and self._in_list_order():
+        if not redefined and self._in_list_order():
             # the heap would pop every gate in list order
-            self._sorted = (self.gates, ())
-            return self._sorted
+            return self.gates, ()
         pending = []
         missing = [0] * len(self.gates)
         waiting: dict[str, list[int]] = {}
@@ -294,8 +282,7 @@ class Netlist:
                 if missing[wi] == 0:
                     heapq.heappush(pending, wi)
         leftover = tuple(g for gi, g in enumerate(self.gates) if not done[gi])
-        self._sorted = (tuple(order), leftover)
-        return self._sorted
+        return tuple(order), leftover
 
     def _in_list_order(self) -> bool:
         """Whether each gate reads only primary inputs, unknown names and
@@ -312,10 +299,7 @@ class Netlist:
 
     def topo_order(self) -> tuple[Gate, ...]:
         """Gates ordered so each appears after the drivers of its inputs."""
-        order, leftover = self._kahn()
-        if leftover:
-            raise StructuralError(self._cycle_diagnostics())
-        return order
+        return self._order
 
     # -- simulation -----------------------------------------------------------
 
@@ -339,7 +323,7 @@ class Netlist:
         """Transitive fan-in: nets reachable backward through drivers,
         excluding ``net`` itself."""
         self._require_net(net)
-        return reach((net,), self._fanin_table()) & self._driver.keys()
+        return reach((net,), self._fanin_table())
 
     def tfo(self, net: str) -> set[str]:
         """Transitive fan-out: nets reachable forward through gate inputs,
@@ -362,7 +346,7 @@ class Netlist:
     def output_cone(self) -> frozenset[str]:
         """Nets some primary output depends on: the outputs and every net
         on a path to one. One walk back from all outputs at once, computed
-        once; a cycle does not stop it."""
+        once."""
         if self._cone is None:
             pos = self.primary_outputs
             cone = reach(pos, self._fanin_table())

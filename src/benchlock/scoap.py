@@ -90,8 +90,7 @@ def _lowered_gates(netlist: Netlist) -> list[Gate]:
 
 
 def scoap(netlist: Netlist) -> ScoapMetrics:
-    """Compute SCOAP metrics for every net of a valid netlist."""
-    netlist.require_valid()
+    """Compute SCOAP metrics for every net of a netlist."""
     gates = _lowered_gates(netlist)
 
     cc0: dict[str, int] = {}

@@ -156,6 +156,4 @@ def parse_verilog_subset(text: str, name: str | None = None) -> Netlist:
     if not seen_module:
         raise UnsupportedConstruct("no module found")
 
-    netlist = Netlist(module_name or "verilog", inputs, outputs, gates)
-    netlist.require_valid()
-    return netlist
+    return Netlist(module_name or "verilog", inputs, outputs, gates)

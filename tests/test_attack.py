@@ -82,7 +82,9 @@ def test_clause_count_grows_per_dip_constraint():
     before = len(m.cnf.clauses)
     # one attack iteration pins the DIP into two fresh copies
     for key_vars in (m.key_vars_a, m.key_vars_b):
-        copy = encode_into(m.cnf, locked.netlist, shared=key_vars)
+        inputs = {pi: key_vars.get(pi) or m.cnf.new_var()
+                  for pi in locked.netlist.primary_inputs}
+        copy = encode_into(m.cnf, locked.netlist.topo_order(), inputs)
         for pi in m.pi_vars:
             m.cnf.add(copy[pi])
         for po in locked.netlist.primary_outputs:
@@ -242,6 +244,22 @@ def test_attack_path_is_pinned(config, seed, want):
         result.iterations, dips[:16], result.recovered_key.to_string(),
         result.oracle_queries, result.solver_stats.as_dict(),
     ) == want
+
+
+def test_the_dip_loop_builds_no_netlist(monkeypatch):
+    big = c432_scale()
+    locked, _ = lock(big, LockConfig(key_size=12, keygate_policy="xor_only", seed=2))
+    built = []
+    init = Netlist.__init__
+
+    def counted(self, *args):
+        built.append(args[0])
+        init(self, *args)
+
+    monkeypatch.setattr(Netlist, "__init__", counted)
+    result = sat_attack(locked, Oracle(big))
+    assert result.status == "key_recovered" and result.iterations == 9
+    assert built == [big.name]  # the apply_key result the final check reads
 
 
 def test_attack_constant_output_contradicting_oracle_raises():

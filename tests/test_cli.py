@@ -317,6 +317,70 @@ def test_attack_with_inconsistent_oracle_is_input_error(tmp_path, c17_file, caps
     assert "inconsistent" in err["error"]["message"]
 
 
+# oracle .bench of each case against a c17 lock -> the InterfaceError
+_ORACLE_ERRORS = {
+    "full_adder": "primary inputs differ (missing: a, b, cin; "
+                  "extra: G1, G2, G3, G6, G7)",
+    "extra_output": "primary outputs differ (missing: G10)",
+    "renamed_output": "primary outputs differ (missing: Z; extra: G23)",
+}
+
+
+def _oracle_text(case: str) -> str:
+    from benchlock.circuits import full_adder
+
+    text = emit_bench(c17())
+    if case == "full_adder":
+        return emit_bench(full_adder())
+    if case == "extra_output":  # the internal net G10 listed as an output
+        return text.replace("OUTPUT(G23)", "OUTPUT(G23)\nOUTPUT(G10)")
+    return text.replace("G23", "Z")
+
+
+@pytest.mark.parametrize("command", ["attack", "corrupt"])
+@pytest.mark.parametrize("case", list(_ORACLE_ERRORS))
+def test_an_oracle_with_other_ports_is_refused_before_any_query(
+        tmp_path, c17_file, capsys, monkeypatch, command, case):
+    from benchlock.attack import Oracle
+
+    locked, keyfile = tmp_path / "locked.bench", tmp_path / "c17.key"
+    main(["lock", "--input", str(c17_file), "--key-size", "3", "--seed", "1",
+          "--output", str(locked), "--key-out", str(keyfile)])
+    oracle = tmp_path / "oracle.bench"
+    oracle.write_text(_oracle_text(case))
+    queries = []
+    monkeypatch.setattr(Oracle, "__call__", lambda self, *a: queries.append(a))
+    monkeypatch.setattr(Oracle, "batch", lambda self, *a: queries.append(a))
+    capsys.readouterr()
+    argv = {
+        "attack": ["attack", "--locked", str(locked), "--oracle", str(oracle)],
+        "corrupt": ["corrupt", "--locked", str(locked), "--original", str(oracle),
+                    "--key", str(keyfile)],
+    }[command]
+    assert main([*argv, "--json-errors"]) == 2
+    assert json.loads(capsys.readouterr().err) == {
+        "error": {"type": "InterfaceError", "message": _ORACLE_ERRORS[case]}}
+    assert queries == []
+
+
+@pytest.mark.parametrize("flag", ["--output", "--key-out"])
+@pytest.mark.parametrize("batch", ["two_inputs", "run_dir"])
+def test_batch_pipeline_refuses_single_input_paths(tmp_path, c17_file, capsys,
+                                                   flag, batch):
+    before = sorted(tmp_path.rglob("*"))
+    argv = ["pipeline", "--input", str(c17_file), "--key-size", "2",
+            flag, str(tmp_path / "want"), "--json-errors"]
+    if batch == "two_inputs":
+        argv[3:3] = [str(c17_file)]
+        argv += ["--report", str(tmp_path / "out")]
+    else:
+        argv += ["--run-dir", str(tmp_path / "runs")]
+    assert main(argv) == 2
+    err = json.loads(capsys.readouterr().err)["error"]
+    assert err["type"] == "ValueError" and flag in err["message"]
+    assert sorted(tmp_path.rglob("*")) == before
+
+
 def test_key_prefix_flows_through_every_command(tmp_path, c17_file, capsys):
     locked = tmp_path / "locked.bench"
     keyfile = tmp_path / "c17.key"

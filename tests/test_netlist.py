@@ -24,17 +24,22 @@ def net(gates, pis, pos, name="t"):
     return Netlist(name, pis, pos, gates)
 
 
-# -- validate -----------------------------------------------------------------
+def diagnostics(gates, pis, pos):
+    """The diagnostics constructing an invalid netlist raises."""
+    with pytest.raises(StructuralError) as exc:
+        net(gates, pis, pos)
+    return exc.value.diagnostics
+
+
+# -- construction checks --------------------------------------------------------
 
 
 def test_minimal_valid_netlist():
-    n = net([Gate("y", GateKind.NAND, ("a", "b"))], ["a", "b"], ["y"])
-    assert n.validate() == []
+    net([Gate("y", GateKind.NAND, ("a", "b"))], ["a", "b"], ["y"])
 
 
 def test_self_loop_is_a_cycle():
-    n = net([Gate("x", GateKind.NOT, ("x",))], [], ["x"])
-    diags = n.validate()
+    diags = diagnostics([Gate("x", GateKind.NOT, ("x",))], [], ["x"])
     assert any("cycle" in d and "'x'" in d for d in diags)
 
 
@@ -43,7 +48,7 @@ def test_multi_driver_diagnostic():
         Gate("n1", GateKind.AND, ("a", "b")),
         Gate("n1", GateKind.OR, ("a", "b")),
     ]
-    diags = net(gates, ["a", "b"], ["n1"]).validate()
+    diags = diagnostics(gates, ["a", "b"], ["n1"])
     assert any("multi-driver" in d and "'n1'" in d for d in diags)
 
 
@@ -52,35 +57,26 @@ def test_arity_and_undriven_diagnostics():
         Gate("y", GateKind.NOT, ("a", "b")),
         Gate("z", GateKind.AND, ("a", "ghost")),
     ]
-    diags = net(gates, ["a", "b"], ["y"]).validate()
+    diags = diagnostics(gates, ["a", "b"], ["y"])
     assert any("bad arity" in d and "'y'" in d for d in diags)
     assert any("undriven" in d and "'ghost'" in d for d in diags)
 
 
 def test_missing_output_diagnostic():
-    diags = net([], ["a"], ["nope"]).validate()
+    diags = diagnostics([], ["a"], ["nope"])
     assert any("'nope'" in d for d in diags)
 
 
 def test_bad_net_name_diagnostic():
-    diags = net([], ["a b"], ["a b"]).validate()
+    diags = diagnostics([], ["a b"], ["a b"])
     assert any("bad net name" in d for d in diags)
 
 
 def test_net_name_with_a_trailing_newline_is_bad():
     # '$' also matches before a final newline; such a name emits a file
     # that the .bench reader rejects
-    n = net([Gate("y", GateKind.AND, ("a\n", "b"))], ["a\n", "b"], ["y"])
-    assert n.validate() == ["bad net name: 'a\\n'"]
-
-
-def test_validate_returns_a_fresh_list():
-    n = net([Gate("y", GateKind.NOT, ("a", "b"))], ["a", "b"], ["y"])
-    first = n.validate()
-    first.append("tampered")
-    first.clear()
-    assert n.validate() == ["bad arity: gate 'y' = NOT with 2 input(s)"]
-    assert n.validate() is not n.validate()
+    diags = diagnostics([Gate("y", GateKind.AND, ("a\n", "b"))], ["a\n", "b"], ["y"])
+    assert diags == ["bad net name: 'a\\n'"]
 
 
 # Reference implementations: the heap-ordered Kahn sort and the per-net
@@ -89,14 +85,14 @@ def test_validate_returns_a_fresh_list():
 _NAME = re.compile(r"[A-Za-z0-9_]+")
 
 
-def _reference_drivers(n):
+def _reference_drivers(pis, gates):
     driver, redefined = {}, []
-    for pi in n.primary_inputs:
+    for pi in pis:
         if pi in driver:
             redefined.append(pi)
         else:
             driver[pi] = None
-    for gate in n.gates:
+    for gate in gates:
         if gate.output in driver:
             redefined.append(gate.output)
         else:
@@ -104,11 +100,11 @@ def _reference_drivers(n):
     return driver, redefined
 
 
-def _reference_kahn(n):
-    driver, _ = _reference_drivers(n)
-    pending, missing, waiting = [], [0] * len(n.gates), {}
+def _reference_kahn(pis, gates):
+    driver, _ = _reference_drivers(pis, gates)
+    pending, missing, waiting = [], [0] * len(gates), {}
     placed = {net for net, d in driver.items() if d is None}
-    for gi, gate in enumerate(n.gates):
+    for gi, gate in enumerate(gates):
         need = 0
         for inp in set(gate.inputs):
             if inp in placed or inp not in driver:
@@ -118,23 +114,23 @@ def _reference_kahn(n):
         missing[gi] = need
         if need == 0:
             heapq.heappush(pending, gi)
-    order, done = [], [False] * len(n.gates)
+    order, done = [], [False] * len(gates)
     while pending:
         gi = heapq.heappop(pending)
         done[gi] = True
-        order.append(n.gates[gi])
-        for wi in waiting.get(n.gates[gi].output, ()):
+        order.append(gates[gi])
+        for wi in waiting.get(gates[gi].output, ()):
             missing[wi] -= 1
             if missing[wi] == 0:
                 heapq.heappush(pending, wi)
-    return tuple(order), tuple(g for gi, g in enumerate(n.gates) if not done[gi])
+    return tuple(order), tuple(g for gi, g in enumerate(gates) if not done[gi])
 
 
-def _reference_validate(n):
-    driver, redefined = _reference_drivers(n)
+def _reference_validate(pis, pos, gates):
+    driver, redefined = _reference_drivers(pis, gates)
     diags = [f"bad net name: {net!r}" for net in driver if not _NAME.fullmatch(net)]
     diags += [f"multi-driver: net '{net}' has more than one driver" for net in redefined]
-    for gate in n.gates:
+    for gate in gates:
         k, arity = gate.kind, len(gate.inputs)
         if k in (GateKind.NOT, GateKind.BUFF):
             ok = arity == 1
@@ -148,8 +144,8 @@ def _reference_validate(n):
         diags += [f"undriven: gate '{gate.output}' reads unknown net '{inp}'"
                   for inp in gate.inputs if inp not in driver]
     diags += [f"undriven: primary output '{po}' names no net"
-              for po in n.primary_outputs if po not in driver]
-    _, leftover = _reference_kahn(n)
+              for po in pos if po not in driver]
+    _, leftover = _reference_kahn(pis, gates)
     if leftover:
         member = {g.output for g in leftover}
         seen, net_ = [], leftover[0].output
@@ -189,32 +185,20 @@ def shaped_netlists(draw):
 
 
 @settings(derandomize=True, deadline=None, max_examples=300, database=None)
-@given(shape=shaped_netlists(), validate_first=st.booleans())
+@given(shape=shaped_netlists())
 # a multi-driven net read twice: the reference orders it y, y, r, x, and a
 # Kahn counting per input position would give y, y, x, r
 @example(shape=(["i"], ["r"], [Gate("r", GateKind.AND, ("x", "x", "y")),
                                Gate("y", GateKind.NOT, ("i",)),
                                Gate("y", GateKind.BUFF, ("i",)),
-                               Gate("x", GateKind.NOT, ("i",))]),
-         validate_first=False)
-def test_order_and_validation_match_the_references(shape, validate_first):
+                               Gate("x", GateKind.NOT, ("i",))]))
+def test_order_and_validation_match_the_references(shape):
     pis, pos, gates = shape
-    n = net(gates, pis, pos)
-    want = _reference_validate(n)
-    if validate_first:
-        assert n.validate() == want
-    order, leftover = _reference_kahn(n)
-    assert n._kahn() == (order, leftover)
-    if leftover:
-        with pytest.raises(StructuralError) as exc:
-            n.topo_order()
-        assert exc.value.diagnostics == want[-1:]
+    want = _reference_validate(pis, pos, gates)
+    if want:
+        assert diagnostics(gates, pis, pos) == want
     else:
-        assert n.topo_order() == order
-    got = n.validate()
-    assert got == want
-    got.append("tampered")
-    assert n.validate() == want
+        assert net(gates, pis, pos).topo_order() == _reference_kahn(pis, gates)[0]
 
 
 # -- topo_order -----------------------------------------------------------------
@@ -468,7 +452,6 @@ def test_structural_equality_ignores_gate_order():
 def test_acyclic_iff_topo_succeeds():
     for seed in range(10):
         n = random_netlist(3, 8, seed=seed)
-        assert n.validate() == []
         n.topo_order()
 
 

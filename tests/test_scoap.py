@@ -107,9 +107,8 @@ def test_mux_metrics_via_lowering():
 
 
 def test_scoap_requires_valid_netlist():
-    bad = Netlist("t", [], ["x"], [Gate("x", GateKind.NOT, ("x",))])
     with pytest.raises(StructuralError):
-        scoap(bad)
+        scoap(Netlist("t", [], ["x"], [Gate("x", GateKind.NOT, ("x",))]))
 
 
 def _reference_scoap(netlist):
