@@ -208,7 +208,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--inputs", type=int, default=100,
                    help="input samples for corruption (default: 100)")
     p.add_argument("--report", default=None,
-                   help="report path (single input) or directory (batch)")
+                   help="report path (single input) or directory (batch); "
+                        "not with --run-dir")
     p.add_argument("--run-dir", default=None,
                    help="create a <timestamp>_s<seed> run directory here")
     p.add_argument("--output", default=None,
@@ -392,14 +393,16 @@ def _pipeline_jobs(args) -> list[_Job]:
     --run-dir; else ``<stem>.report.json``, ``<stem>.locked.bench`` and
     ``<stem>.key`` in the run directory or the --report directory, where
     an input whose stem an earlier one took gets the first free
-    ``<stem>_2``, ``<stem>_3``, ... There --output and --key-out are
-    usage errors, raised before anything is written."""
+    ``<stem>_2``, ``<stem>_3``, ... There --output, --key-out and (with
+    --run-dir) --report are usage errors, raised before anything is written."""
     if len(args.input) == 1 and not args.run_dir:
         paths = (args.report, args.output, args.key_out)
         return [(args.input[0], *(Path(p) if p else None for p in paths))]
     for flag, path in (("--output", args.output), ("--key-out", args.key_out)):
         if path:
             raise ValueError(f"{flag} needs a single --input and no --run-dir")
+    if args.run_dir and args.report:
+        raise ValueError("--report cannot be combined with --run-dir")
     base = _new_run_dir(args) if args.run_dir else Path(args.report or ".")
     base.mkdir(parents=True, exist_ok=True)
     jobs: list[_Job] = []

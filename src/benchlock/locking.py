@@ -20,7 +20,8 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, replace
-from itertools import filterfalse
+from itertools import compress
+from typing import Callable
 
 from .errors import DummyError, LockError, SelectionError
 from .netlist import Gate, GateKind, Netlist, cofactor, fresh_name, reach
@@ -274,15 +275,15 @@ def select_nets(
 class _Workbench:
     """Mutable gate list while key gates are spliced in.
 
-    Three live tables follow every ``append`` and ``splice``: ``driver``
-    (net -> index of its gate in ``gates``, None for a primary input; its
-    keys are the nets of ``snapshot()``), ``fanin`` (gate output -> its
-    input names) and ``readers`` (net -> output names of the gates reading
-    it, each once). Splicing looks the target up in them instead of
-    scanning the gate list, and a MUX dummy walks only the target's cone,
-    with ``reach`` on ``fanin`` and ``readers``. ``names`` lists the
-    original primary inputs, then gate outputs in gate order, the
-    candidate dummies in ``snapshot().nets`` order.
+    Every net has an int id, its index in ``names``: the primary inputs,
+    then each gate output as its gate is appended, each key input as it
+    is added; ``ids`` maps a name back. Per id, ``gates`` holds the
+    driving gate (None for an input), ``fanin`` the ids it reads and
+    ``readers`` the ids of the gates reading it, once per input position.
+    A splice renames in place, so ``names`` without the key inputs lists
+    the candidate dummies in ``snapshot().nets`` order, and a MUX dummy
+    walks only the target's cone, with ``reach`` on ``fanin`` and
+    ``readers``.
     """
 
     def __init__(self, netlist: Netlist, prefix: str):
@@ -290,84 +291,101 @@ class _Workbench:
         self.pis = list(netlist.primary_inputs)
         self.pos = list(netlist.primary_outputs)
         self.original_pis = tuple(netlist.primary_inputs)
-        self.names = list(self.original_pis)
-        self.gates: list[Gate] = []
-        self.driver: dict[str, int | None] = dict.fromkeys(self.pis)
-        self.fanin: dict[str, tuple[str, ...]] = {}
-        self.readers: dict[str, list[str]] = {}
-        for gate in netlist.gates:
-            self.append(gate)
         self.prefix = prefix
+        self.names = list(netlist.nets)
+        ids, fanin = netlist.net_ids()
+        self.ids = dict(ids)
+        self.key_ids: list[int] = []
+        self.gates: list[Gate | None] = [None] * len(self.pis)
+        self.gates += netlist.gates
+        # a splice replaces a reader's fan-in list, never changes it, so
+        # the netlist's lists can be shared
+        self.fanin = list(fanin)
+        self.readers: list[list[int]] = [[] for _ in self.names]
+        for i, ins in enumerate(self.fanin):
+            for j in ins:
+                self.readers[j].append(i)
 
     def snapshot(self) -> Netlist:
-        return Netlist(self.name, self.pis, self.pos, self.gates)
+        return Netlist(self.name, self.pis, self.pos, filter(None, self.gates))
 
-    def append(self, gate: Gate) -> None:
-        out = gate.output
-        self.driver[out] = len(self.gates)
+    def _add(self, name: str, gate: Gate | None) -> int:
+        """Give a new net the next id, wired to the existing nets the
+        gate reads; returns the id."""
+        i = len(self.names)
+        self.names.append(name)
+        self.ids[name] = i
         self.gates.append(gate)
-        self.names.append(out)
-        self.fanin[out] = gate.inputs
-        for inp in dict.fromkeys(gate.inputs):
-            self.readers.setdefault(inp, []).append(out)
+        ins = list(map(self.ids.__getitem__, gate.inputs)) if gate else []
+        self.fanin.append(ins)
+        self.readers.append([])
+        for j in ins:
+            self.readers[j].append(i)
+        return i
+
+    def append(self, gate: Gate) -> int:
+        return self._add(gate.output, gate)
 
     def fresh(self, base: str) -> str:
         """A name no net has yet; the caller drives it before the next
         ``fresh``."""
-        return fresh_name(base, self.driver)
+        return fresh_name(base, self.ids)
 
     def add_key_input(self, index: int) -> str:
         name = f"{self.prefix}{index}"
-        if name in self.driver:
+        if name in self.ids:
             raise LockError(f"net {name!r} already exists; refusing to lock")
-        self.driver[name] = None
+        self.key_ids.append(self._add(name, None))
         self.pis.append(name)
         return name
 
     def outside_cone(self, net: str) -> list[str]:
-        """``names`` outside the transitive fan-in and fan-out of ``net``
-        and other than ``net``, in ``names`` order."""
-        blocked = reach((net,), self.fanin) | reach((net,), self.readers)
-        blocked.add(net)
-        return list(filterfalse(blocked.__contains__, self.names))
+        """Nets outside the transitive fan-in and fan-out of ``net``,
+        other than ``net`` and the key inputs, in ``names`` order."""
+        start = self.ids[net]
+        seen = bytearray(len(self.names))
+        for i in (*self.key_ids, start):
+            seen[i] = 1
+        reach((start,), self.fanin, seen)
+        reach((start,), self.readers, seen)
+        unseen = seen.translate(bytes.maketrans(b"\0\1", b"\1\0"))
+        return list(compress(self.names, unseen))
 
-    def splice(self, target: str) -> tuple[str, str, bool]:
-        """Make room for a key gate driving ``target``'s sinks.
-
-        Gate-driven target: rename the driver output to a fresh carrier
-        net; key gate output will take the original name. PI target: the
-        key gate output gets the fresh carrier name and every sink is
-        rewired to it. Returns (key_gate_output, original_value_net,
-        pi_mode).
-        """
-        driver_idx = self.driver[target]
-        if driver_idx is None:
+    def splice(
+        self, target: str, kind: GateKind, inputs: Callable[[str], tuple[str, ...]]
+    ) -> tuple[str, bool]:
+        """Splice the key gate ``kind(inputs(value))`` in front of
+        ``target``'s sinks, ``value`` being the net that carries the
+        target's original value; returns (value, pi_mode). Gate-driven
+        target: the driver output is renamed to the fresh value net, and
+        the key gate takes the original name and the sinks. PI target:
+        the value is the target, and every sink is rewired to the key
+        gate's fresh output."""
+        t = self.ids[target]
+        old = self.gates[t]
+        if old is None:
             if target in self.pos:
                 raise LockError(
                     f"cannot lock {target!r}: it is both a primary input "
                     "and a primary output"
                 )
-            carrier = self.fresh(f"{target}_keyed")
-            sinks = self.readers.pop(target, [])
-            for out in sinks:
-                gi = self.driver[out]
-                g = self.gates[gi]
-                self.gates[gi] = Gate(
-                    out, g.kind, (carrier if i == target else i for i in g.inputs)
+            value, out = target, self.fresh(f"{target}_keyed")
+            for r in self.readers[t]:
+                g = self.gates[r]
+                self.gates[r] = Gate(
+                    g.output, g.kind, (out if i == target else i for i in g.inputs)
                 )
-                self.fanin[out] = self.gates[gi].inputs
-            self.readers[carrier] = sinks
-            return carrier, target, True
-        old = self.gates[driver_idx]
-        carrier = self.fresh(f"{target}_pre")
-        self.gates[driver_idx] = Gate(carrier, old.kind, old.inputs)
-        self.names[len(self.original_pis) + driver_idx] = carrier
-        self.driver[carrier] = self.driver.pop(target)
-        self.fanin[carrier] = self.fanin.pop(target)
-        for inp in dict.fromkeys(old.inputs):
-            sinks = self.readers[inp]
-            sinks[sinks.index(target)] = carrier
-        return target, carrier, False
+        else:
+            value, out = self.fresh(f"{target}_pre"), target
+            self.gates[t] = Gate(value, old.kind, old.inputs)
+            self.names[t] = value
+            self.ids[value] = self.ids.pop(target)
+        sinks, self.readers[t] = self.readers[t], []
+        k = self.append(Gate(out, kind, inputs(value)))
+        self.readers[k] = sinks
+        for r in sinks:
+            self.fanin[r] = [k if j == t else j for j in self.fanin[r]]
+        return value, old is None
 
 
 def _dummy_net(
@@ -445,35 +463,23 @@ def _insert(
     bits: list[int] = []
 
     for index, target, bit, style in plan:
-        if target not in bench.driver:
+        if target not in bench.ids:
             raise LockError(f"cannot lock unknown net {target!r}")
         if style == "mux":
             dummy, policy_desc = _dummy_net(
                 bench, index, target, dummy_policy, rng
             )
         key_in = bench.add_key_input(index)
-        key_out, carrier, pi_mode = bench.splice(target)
         if style == "xor":
-            kind = GateKind.XNOR if bit else GateKind.XOR
-            bench.append(Gate(key_out, kind, (carrier, key_in)))
-            records.append(
-                LockRecord(index, target, kind.value, pi_mode, carrier)
-            )
+            kind, mux = (GateKind.XNOR if bit else GateKind.XOR), {}
+            carrier, pi_mode = bench.splice(target, kind, lambda v: (v, key_in))
         else:
-            data = (carrier, dummy) if bit == 0 else (dummy, carrier)
-            bench.append(Gate(key_out, GateKind.MUX, (key_in,) + data))
-            records.append(
-                LockRecord(
-                    index,
-                    target,
-                    "MUX",
-                    pi_mode,
-                    carrier,
-                    dummy_policy=policy_desc,
-                    dummy_net=dummy,
-                    original_slot=bit,
-                )
+            kind = GateKind.MUX
+            mux = dict(dummy_policy=policy_desc, dummy_net=dummy, original_slot=bit)
+            carrier, pi_mode = bench.splice(
+                target, kind, lambda v: (key_in, dummy, v) if bit else (key_in, v, dummy)
             )
+        records.append(LockRecord(index, target, kind.value, pi_mode, carrier, **mux))
         key_inputs.append(key_in)
         bits.append(bit)
 

@@ -11,10 +11,13 @@ from __future__ import annotations
 
 import heapq
 import re
+import sys
 from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
-from typing import Collection, Container, Iterable, Mapping
+from itertools import chain, compress, repeat
+from operator import itemgetter
+from typing import Container, Iterable, Mapping, NamedTuple, Sequence
 
 from .errors import StructuralError, UnknownNet
 
@@ -32,10 +35,6 @@ class GateKind(Enum):
     BUFF = "BUFF"
     MUX = "MUX"
 
-    def arity_ok(self, n: int) -> bool:
-        exact = GATE_KINDS[self._value_][1]
-        return n == exact if exact else n >= 2
-
 
 # Every gate kind by its upper-case name, with its exact input count (0:
 # two or more). BUF is an alias of BUFF.
@@ -51,21 +50,28 @@ GATE_KINDS: dict[str, tuple[GateKind, int]] = {
     "BUF": (GateKind.BUFF, 1),
     "MUX": (GateKind.MUX, 3),
 }
+# The input counts each kind takes, by kind value.
+_ARITY = {
+    name: range(exact, exact + 1) if exact else range(2, sys.maxsize)
+    for name, (_, exact) in GATE_KINDS.items()
+}
 
 
-@dataclass(frozen=True)
-class Gate:
-    """One gate: ``output = kind(inputs...)``. MUX input order is
-    (select, in0, in1); select=0 picks in0."""
-
+class _GateFields(NamedTuple):
     output: str
     kind: GateKind
     inputs: tuple[str, ...]
 
-    def __init__(self, output: str, kind: GateKind, inputs: Iterable[str]):
-        object.__setattr__(self, "output", output)
-        object.__setattr__(self, "kind", kind)
-        object.__setattr__(self, "inputs", tuple(inputs))
+
+class Gate(_GateFields):
+    """One gate: ``output = kind(inputs...)``, an immutable named tuple;
+    the constructor turns ``inputs`` into a tuple. MUX input order is
+    (select, in0, in1); select=0 picks in0."""
+
+    __slots__ = ()
+
+    def __new__(cls, output: str, kind: GateKind, inputs: Iterable[str]):
+        return tuple.__new__(cls, (output, kind, tuple(inputs)))
 
 
 @dataclass(frozen=True)
@@ -132,33 +138,47 @@ class Netlist:
 
     def __init__(self, name, primary_inputs, primary_outputs, gates):
         self.name = name
-        self.primary_inputs = tuple(primary_inputs)
+        self.primary_inputs = pis = tuple(primary_inputs)
         self.primary_outputs = tuple(primary_outputs)
-        self.gates = tuple(gates)
+        self.gates = gates = tuple(gates)
 
         # Driver table in declaration order; a net driven twice keeps its
         # first driver, so the diagnostics can still walk the netlist.
-        self._driver: dict[str, Gate | None] = {}
+        driver: dict[str, Gate | None] = dict.fromkeys(pis)
+        driver.update(zip(map(itemgetter(0), gates), gates))
         redefined: list[str] = []
-        for pi in self.primary_inputs:
-            if pi in self._driver:
-                redefined.append(pi)
-            else:
-                self._driver[pi] = None
-        for gate in self.gates:
-            if gate.output in self._driver:
-                redefined.append(gate.output)
-            else:
-                self._driver[gate.output] = gate
+        if len(driver) < len(pis) + len(gates):
+            driver = {}
+            pairs = chain(zip(pis, repeat(None)), zip(map(itemgetter(0), gates), gates))
+            for net, gate in pairs:
+                if net in driver:
+                    redefined.append(net)
+                else:
+                    driver[net] = gate
+        self._driver = driver
 
-        order, leftover = self._kahn(redefined)
-        diags = self._diagnostics(redefined, leftover)
+        # One pass over the gates: a gate reading a net that is neither a
+        # primary input nor an earlier gate's output (a later driver or an
+        # unknown net) is late, one with the wrong input count a misfit.
+        placed = set(pis)
+        issuperset, place = placed.issuperset, placed.add
+        late: list[int] = []
+        misfit: list[int] = []
+        for gi, (out, kind, ins) in enumerate(gates):
+            if not issuperset(ins):
+                late.append(gi)
+            elif len(ins) not in _ARITY[kind._value_]:
+                misfit.append(gi)
+            place(out)
+
+        # the heap would pop an in-order gate list in list order
+        order, leftover = self._kahn() if late or redefined else (gates, ())
+        diags = self._diagnostics(redefined, sorted(late + misfit), leftover)
         if diags:
             raise StructuralError(diags)
         self._order = order
-        self._loads: dict[str, list[int]] | None = None
-        self._fanin: dict[str, tuple[str, ...]] | None = None  # for tfi
-        self._po_slots: Counter[str] | None = None
+        self._reads: Counter[str] | None = None  # for fanout_count
+        self._ids: tuple[dict[str, int], list[list[int]]] | None = None
         self._cone: frozenset[str] | None = None  # for output_cone
 
     # -- basic accessors ----------------------------------------------------
@@ -183,26 +203,12 @@ class Netlist:
     def is_primary_input(self, net: str) -> bool:
         return self.has_net(net) and self._driver[net] is None
 
-    def _load_table(self) -> dict[str, list[int]]:
-        """Net -> index of each gate reading it, once per input position."""
-        if self._loads is None:
-            loads: dict[str, list[int]] = {n: [] for n in self._driver}
-            for gi, gate in enumerate(self.gates):
-                for inp in gate.inputs:
-                    loads[inp].append(gi)
-            self._loads = loads
-        return self._loads
-
-    def load_gates(self, net: str) -> list[Gate]:
-        """Gates reading a net, in gate order (duplicates if read twice)."""
-        self._require_net(net)
-        return [self.gates[gi] for gi in self._load_table()[net]]
-
     # -- construction checks ---------------------------------------------------
 
     def _diagnostics(
-        self, redefined: list[str], leftover: tuple[Gate, ...]
+        self, redefined: list[str], flagged: list[int], leftover: tuple[Gate, ...]
     ) -> list[str]:
+        """Every diagnostic; only ``flagged`` gates can hold the per-gate ones."""
         diags: list[str] = []
         driver = self._driver
         if not (all(driver) and NET_NAME_RE.fullmatch("".join(driver))):
@@ -213,17 +219,15 @@ class Netlist:
             )
         for net in redefined:
             diags.append(f"multi-driver: net '{net}' has more than one driver")
-        for gate in self.gates:
-            if not gate.kind.arity_ok(len(gate.inputs)):
+        for gi in flagged:
+            out, kind, ins = self.gates[gi]
+            if len(ins) not in _ARITY[kind._value_]:
                 diags.append(
-                    f"bad arity: gate '{gate.output}' = {gate.kind.value} "
-                    f"with {len(gate.inputs)} input(s)"
+                    f"bad arity: gate '{out}' = {kind.value} with {len(ins)} input(s)"
                 )
-            for inp in gate.inputs:
+            for inp in ins:
                 if inp not in driver:
-                    diags.append(
-                        f"undriven: gate '{gate.output}' reads unknown net '{inp}'"
-                    )
+                    diags.append(f"undriven: gate '{out}' reads unknown net '{inp}'")
         for po in self.primary_outputs:
             if po not in driver:
                 diags.append(f"undriven: primary output '{po}' names no net")
@@ -246,16 +250,11 @@ class Netlist:
 
     # -- topological order ----------------------------------------------------
 
-    def _kahn(
-        self, redefined: list[str]
-    ) -> tuple[tuple[Gate, ...], tuple[Gate, ...]]:
+    def _kahn(self) -> tuple[tuple[Gate, ...], tuple[Gate, ...]]:
         """Deterministic Kahn layering; ties broken by original gate order.
 
         Returns (ordered gates, gates stuck on a cycle).
         """
-        if not redefined and self._in_list_order():
-            # the heap would pop every gate in list order
-            return self.gates, ()
         pending = []
         missing = [0] * len(self.gates)
         waiting: dict[str, list[int]] = {}
@@ -284,19 +283,6 @@ class Netlist:
         leftover = tuple(g for gi, g in enumerate(self.gates) if not done[gi])
         return tuple(order), leftover
 
-    def _in_list_order(self) -> bool:
-        """Whether each gate reads only primary inputs, unknown names and
-        outputs of earlier gates."""
-        driver = self._driver
-        placed = set(self.primary_inputs)
-        for gate in self.gates:
-            if not placed.issuperset(gate.inputs) and any(
-                i in driver and i not in placed for i in gate.inputs
-            ):
-                return False
-            placed.add(gate.output)
-        return True
-
     def topo_order(self) -> tuple[Gate, ...]:
         """Gates ordered so each appears after the drivers of its inputs."""
         return self._order
@@ -319,48 +305,35 @@ class Netlist:
 
     # -- structural analysis ----------------------------------------------------
 
-    def tfi(self, net: str) -> set[str]:
-        """Transitive fan-in: nets reachable backward through drivers,
-        excluding ``net`` itself."""
-        self._require_net(net)
-        return reach((net,), self._fanin_table())
-
-    def tfo(self, net: str) -> set[str]:
-        """Transitive fan-out: nets reachable forward through gate inputs,
-        excluding ``net`` itself."""
-        self._require_net(net)
-        gates = self.gates
-        fanout = {
-            n: [gates[gi].output for gi in loads]
-            for n, loads in self._load_table().items()
-        }
-        return reach((net,), fanout)
-
-    def _fanin_table(self) -> dict[str, tuple[str, ...]]:
-        if self._fanin is None:
-            self._fanin = {
-                n: gate.inputs for n, gate in self._driver.items() if gate is not None
-            }
-        return self._fanin
+    def net_ids(self) -> tuple[dict[str, int], list[list[int]]]:
+        """(ids, fanin): each net's index in ``nets``, and per index the
+        ones its driver reads. Built once and shared: change only a copy."""
+        if self._ids is None:
+            ids = dict(zip(self._driver, range(len(self._driver))))
+            fanin = [[] for _ in self.primary_inputs]
+            fanin += [[ids[i] for i in g.inputs] for g in self.gates]
+            self._ids = ids, fanin
+        return self._ids
 
     def output_cone(self) -> frozenset[str]:
         """Nets some primary output depends on: the outputs and every net
-        on a path to one. One walk back from all outputs at once, computed
-        once."""
+        on a path to one. One walk back from all outputs at once, on net
+        ids, computed once."""
         if self._cone is None:
-            pos = self.primary_outputs
-            cone = reach(pos, self._fanin_table())
-            cone.update(pos)
-            self._cone = frozenset(cone)
+            ids, fanin = self.net_ids()
+            starts = [ids[po] for po in self.primary_outputs]
+            seen = reach(starts, fanin, bytearray(len(ids)))
+            self._cone = frozenset(compress(ids, seen)).union(self.primary_outputs)
         return self._cone
 
     def fanout_count(self, net: str) -> int:
         """Number of gate-input positions plus primary-output slots reading
         the net."""
         self._require_net(net)
-        if self._po_slots is None:
-            self._po_slots = Counter(self.primary_outputs)
-        return len(self._load_table()[net]) + self._po_slots[net]
+        if self._reads is None:
+            inputs = chain.from_iterable(map(itemgetter(2), self.gates))
+            self._reads = Counter(chain(inputs, self.primary_outputs))
+        return self._reads[net]
 
     def stats(self) -> CircuitStats:
         by_kind: dict[str, int] = {}
@@ -564,21 +537,22 @@ def cofactor(
     return gates, const
 
 
-def reach(starts: Collection[str], table: Mapping[str, Iterable[str]]) -> set[str]:
-    """Nets reachable from any of ``starts`` through ``table``, excluding
-    the starts themselves. The one cone walk: ``table`` maps a net to its
-    fan-in for a transitive fan-in, to its readers' outputs for a
-    transitive fan-out; a net missing from it has no successors.
+def reach(
+    starts: Iterable[int], table: Sequence[Iterable[int]], seen: bytearray
+) -> bytearray:
+    """Mark in ``seen`` every net id reachable from ``starts`` through
+    ``table``, and return it. The one cone walk: ``table`` maps a net id
+    to its fan-in ids for a transitive fan-in, to its readers' ids for a
+    transitive fan-out. The walk does not pass a net already marked, and
+    marks a start only when another start reaches it.
     """
-    get = table.get
-    seen: set[str] = set()
     stack = list(starts)
+    pop, push = stack.pop, stack.append
     while stack:
-        for nxt in get(stack.pop(), ()):
-            if nxt not in seen:
-                seen.add(nxt)
-                stack.append(nxt)
-    seen.difference_update(starts)
+        for nxt in table[pop()]:
+            if not seen[nxt]:
+                seen[nxt] = 1
+                push(nxt)
     return seen
 
 

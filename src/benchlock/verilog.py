@@ -26,6 +26,19 @@ _IDENT = r"[A-Za-z_][A-Za-z0-9_]*"
 _IDENT_RE = re.compile(_IDENT)  # use with fullmatch
 _IDENT_LIST_RE = re.compile(rf"\s*{_IDENT}\s*(?:,\s*{_IDENT}\s*)*")
 _INSTANCE_RE = re.compile(rf"(?:({_IDENT})\s*)?\(\s*([^()]*?)\s*\)")
+# The statements most files are made of, read by one fullmatch of the
+# text between two ';': a primitive statement with one or more instances
+# of two or more terminals (groups 1-3: primitive, the first instance's
+# terminals, the further instances) or a declaration (groups 4-5: keyword,
+# names). Identifiers hold no whitespace, so dropping it all from a
+# listing leaves name,name,... Anything else is read step by step.
+_INSTANCE = rf"(?:{_IDENT}\s*)?\(\s*{_IDENT}(?:\s*,\s*{_IDENT})+\s*\)"
+_STATEMENT_RE = re.compile(
+    rf"\s*(?:({'|'.join(_PRIMITIVES)})\s+(?:{_IDENT}\s*)?"
+    rf"\(\s*({_IDENT}(?:\s*,\s*{_IDENT})+)\s*\)((?:\s*,\s*{_INSTANCE})*)"
+    rf"|(input|output|wire)\s+({_IDENT}(?:\s*,\s*{_IDENT})*))\s*"
+)
+_TERMINALS_RE = re.compile(r"\(([^()]*)\)")
 # matches what \bmodule\b matches; the leading literal lets the scan skip
 # to each "module" instead of trying a word boundary at every character
 _MODULE_RE = re.compile(r"module(?<=\bmodule)\b")
@@ -41,21 +54,6 @@ def _strip_comments(text: str) -> str:
     return re.sub(r"/\*.*?\*/", blank, text, flags=re.S)
 
 
-def _split_statements(text: str) -> list[tuple[int, str]]:
-    """Split on ';', keeping the 1-based line each statement starts on.
-    Whitespace runs collapse to one space (str.split splits on exactly
-    the characters ``\\s`` matches)."""
-    statements = []
-    line = 1
-    for chunk in text.split(";"):
-        body = chunk.lstrip()
-        if body:
-            start = line + chunk.count("\n", 0, len(chunk) - len(body))
-            statements.append((start, " ".join(body.split())))
-        line += chunk.count("\n")
-    return statements
-
-
 def _names(listing: str, lineno: int, what: str) -> list[str]:
     if not _IDENT_LIST_RE.fullmatch(listing):
         for item in listing.split(","):
@@ -64,7 +62,6 @@ def _names(listing: str, lineno: int, what: str) -> list[str]:
                 raise UnsupportedConstruct(f"buses are not supported in {what}", lineno)
             if not _IDENT_RE.fullmatch(name):
                 raise UnsupportedConstruct(f"bad identifier {name!r} in {what}", lineno)
-    # identifiers hold no whitespace, so dropping it all leaves name,name,...
     return "".join(listing.split()).split(",")
 
 
@@ -78,9 +75,33 @@ def parse_verilog_subset(text: str, name: str | None = None) -> Netlist:
     seen_module = False
     inputs: list[str] = []
     outputs: list[str] = []
+    # wires need no bookkeeping: nets exist by being driven
+    declared = {"input": inputs, "output": outputs, "wire": []}
     gates: list[Gate] = []
 
-    for lineno, stmt in _split_statements(text):
+    line = 1
+    for chunk in text.split(";"):
+        begin, line = line, line + chunk.count("\n")
+        m = _STATEMENT_RE.fullmatch(chunk)
+        if m is not None:
+            prim, first, more, decl, listing = m.groups()
+            if decl is not None:
+                declared[decl] += "".join(listing.split()).split(",")
+                continue
+            kind, arity = _PRIMITIVES[prim]
+            listings = [first, *_TERMINALS_RE.findall(more)] if more else [first]
+            instances = ["".join(terms.split()).split(",") for terms in listings]
+            # a one-input primitive takes two; the step-by-step reading words why
+            if arity != 1 or all(len(ports) == 2 for ports in instances):
+                gates += [Gate(ports[0], kind, ports[1:]) for ports in instances]
+                continue
+        # Step by step, on the statement with each whitespace run as one
+        # space (str.split splits on exactly the characters \s matches).
+        body = chunk.lstrip()
+        if not body:
+            continue
+        lineno = begin + chunk.count("\n", 0, len(chunk) - len(body))
+        stmt = " ".join(body.split())
         head = stmt.split(None, 1)[0]
 
         if head == "module":
@@ -101,13 +122,8 @@ def parse_verilog_subset(text: str, name: str | None = None) -> Netlist:
             # a statement glued after endmodule (no ';' in between)
             raise UnsupportedConstruct("unexpected text after endmodule", lineno)
 
-        if head in ("input", "output", "wire"):
-            names = _names(stmt[len(head):], lineno, f"{head} declaration")
-            if head == "input":
-                inputs.extend(names)
-            elif head == "output":
-                outputs.extend(names)
-            # wires need no bookkeeping: nets exist by being driven
+        if head in declared:
+            declared[head] += _names(stmt[len(head):], lineno, f"{head} declaration")
             continue
 
         if head == "assign":

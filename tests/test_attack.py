@@ -246,6 +246,31 @@ def test_attack_path_is_pinned(config, seed, want):
     ) == want
 
 
+# The attack benchmark's pool: job j locks c432_scale(433 + j) at the j-th
+# entry of this cycle, with lock seed j. The digest is sha256 over every
+# job's AttackResult.as_dict() without elapsed_ms, in pool order, so a change
+# that moves one DIP, model, counter or key of the 56 attacks shows here.
+ATTACK_POOL_CYCLE = [("xor", 8), ("sat_hard", 8), ("xor", 9), ("sat_hard", 9),
+                     ("xor", 10), ("sat_hard", 10), ("xor", 11), ("sat_hard", 11),
+                     ("xor", 12), ("sat_hard", 12), ("xor", 13), ("xor", 14),
+                     ("xor", 15), ("xor", 16)]
+ATTACK_POOL_DIGEST = "7306ddc586ff23d7"
+
+
+def test_attack_pool_is_pinned():
+    digest = hashlib.sha256()
+    for j in range(4 * len(ATTACK_POOL_CYCLE)):
+        original = c432_scale(433 + j)
+        style, k = ATTACK_POOL_CYCLE[j % len(ATTACK_POOL_CYCLE)]
+        cfg = (LockConfig(k, keygate_policy="xor_only", seed=j) if style == "xor"
+               else LockConfig(k, preset="sat_hard", seed=j))
+        locked, _ = lock(original, cfg)
+        result = sat_attack(locked, Oracle(original), timeout_ms=None).as_dict()
+        del result["elapsed_ms"]
+        digest.update(json.dumps(result, sort_keys=True).encode())
+    assert digest.hexdigest()[:16] == ATTACK_POOL_DIGEST
+
+
 def test_the_dip_loop_builds_no_netlist(monkeypatch):
     big = c432_scale()
     locked, _ = lock(big, LockConfig(key_size=12, keygate_policy="xor_only", seed=2))

@@ -7,6 +7,7 @@ import pytest
 
 from benchlock import circuits
 from benchlock.bench import emit_bench
+from structure import tfi
 
 
 def corpus():
@@ -91,5 +92,5 @@ def test_corpus_circuit_is_pinned(name, build):
 @pytest.mark.parametrize("seed", range(6))
 def test_layered_netlist_keeps_exactly_the_observed_logic(seed):
     n = circuits.layered_netlist(12, [30, 30, 20], seed, n_outputs=5)
-    observed = set(n.primary_outputs).union(*(n.tfi(po) for po in n.primary_outputs))
+    observed = set(n.primary_outputs).union(*(tfi(n, po) for po in n.primary_outputs))
     assert all(g.output in observed for g in n.gates)

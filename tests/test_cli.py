@@ -381,6 +381,19 @@ def test_batch_pipeline_refuses_single_input_paths(tmp_path, c17_file, capsys,
     assert sorted(tmp_path.rglob("*")) == before
 
 
+def test_run_dir_pipeline_refuses_report(tmp_path, c17_file, capsys):
+    # the report goes into the run directory, so a --report path would be
+    # silently ignored
+    before = sorted(tmp_path.rglob("*"))
+    argv = ["pipeline", "--input", str(c17_file), "--key-size", "2",
+            "--run-dir", str(tmp_path / "runs"), "--report", str(tmp_path / "want.json"),
+            "--json-errors"]
+    assert main(argv) == 2
+    err = json.loads(capsys.readouterr().err)["error"]
+    assert err["type"] == "ValueError" and "--report" in err["message"]
+    assert sorted(tmp_path.rglob("*")) == before
+
+
 def test_key_prefix_flows_through_every_command(tmp_path, c17_file, capsys):
     locked = tmp_path / "locked.bench"
     keyfile = tmp_path / "c17.key"

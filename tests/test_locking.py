@@ -7,7 +7,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from benchlock.bench import emit_bench
+from benchlock.bench import emit_bench, parse_bench
 from benchlock.circuits import (
     c17,
     c432_scale,
@@ -36,6 +36,8 @@ from benchlock.locking import (
 )
 from benchlock.netlist import Gate, GateKind, Netlist, truth_tables
 from benchlock.verify import structural_check
+from benchlock.verilog import parse_verilog_subset
+from structure import load_gates, tfi, tfo
 
 
 def and_gate():
@@ -96,8 +98,8 @@ def test_sll_pairs_are_path_disjoint():
     c = c17()
     picked = select_nets(c, "sll", 2)
     a, b = picked
-    assert b not in c.tfi(a) | c.tfo(a)
-    assert a not in c.tfi(b) | c.tfo(b)
+    assert b not in tfi(c, a) | tfo(c, a)
+    assert a not in tfi(c, b) | tfo(c, b)
 
 
 def test_sll_exhaustion_suggests_smaller_k():
@@ -130,7 +132,7 @@ def _reference_select(netlist, strategy, k):
     """cone_size / sll as set-based tfi/tfo walks per net."""
     ranked = sorted(
         eligible_nets(netlist),
-        key=lambda n: (-(len(netlist.tfi(n)) + len(netlist.tfo(n))), n),
+        key=lambda n: (-(len(tfi(netlist, n)) + len(tfo(netlist, n))), n),
     )
     if strategy == "cone_size":
         return ranked[:k]
@@ -139,7 +141,7 @@ def _reference_select(netlist, strategy, k):
         if any(cand in cone for cone in cones):
             continue
         chosen.append(cand)
-        cones.append(netlist.tfi(cand) | netlist.tfo(cand))
+        cones.append(tfi(netlist, cand) | tfo(netlist, cand))
         if len(chosen) == k:
             return chosen
     return f"sll found only {len(chosen)} path-disjoint nets; try k <= {len(chosen)}"
@@ -170,14 +172,14 @@ def test_bitset_selection_matches_set_walks(make):
 def _observable(netlist):
     """Nets with a structural path to a primary output."""
     return set(netlist.primary_outputs).union(
-        *(netlist.tfi(po) for po in netlist.primary_outputs))
+        *(tfi(netlist, po) for po in netlist.primary_outputs))
 
 
 def test_a_net_no_output_depends_on_is_never_selected():
     # primary input i13 is read by nothing; scoap ranked it first because
     # its observability is UNOBSERVABLE, so key bit 0 locked nothing
     netlist = layered_netlist(32, [100] * 5, 2, n_outputs=40)
-    assert netlist.load_gates("i13") == [] and "i13" not in netlist.primary_outputs
+    assert load_gates(netlist, "i13") == [] and "i13" not in netlist.primary_outputs
     observable = _observable(netlist)
     assert set(eligible_nets(netlist)) == observable
     locked, _ = lock(netlist, LockConfig(key_size=16, seed=5, selection="scoap"))
@@ -223,7 +225,7 @@ def test_xor_lock_rewires_all_sinks():
     locked = insert_xor_keygates(c, ["G11"], (0,))
     n = locked.netlist
     # sinks still read G11; the key gate reads the renamed carrier
-    assert {g.output for g in n.load_gates("G11")} == {"G16", "G19"}
+    assert {g.output for g in load_gates(n, "G11")} == {"G16", "G19"}
     assert n.driver("G11").kind is GateKind.XOR
     assert locked.ledger[0].carrier.startswith("G11_pre")
 
@@ -283,7 +285,7 @@ def test_mux_other_cone_dummy_outside_cone():
         c, ["G10"], (0,), dummy_policy="other_cone_net", seed=4
     )
     d = locked.ledger[0].dummy_net
-    assert d not in c.tfi("G10") | c.tfo("G10") | {"G10"}
+    assert d not in tfi(c, "G10") | tfo(c, "G10") | {"G10"}
 
 
 def test_mux_random_function_builds_small_tree():
@@ -315,14 +317,14 @@ def test_mux_dummy_error_when_no_cone_escape():
 @contextlib.contextmanager
 def _pool_checked():
     """At every MUX dummy pick, check the workbench's pool against a
-    reference from ``Netlist.tfi | tfo | {target}`` on its snapshot, and
+    reference from ``tfi | tfo | {target}`` on its snapshot, and
     record (target, whether it is a primary input)."""
     picks = []
     pick = locking._dummy_net
 
     def checked(bench, bit_index, target, policy, rng):
         snap = bench.snapshot()
-        blocked = snap.tfi(target) | snap.tfo(target) | {target}
+        blocked = tfi(snap, target) | tfo(snap, target) | {target}
         blocked.update(set(snap.primary_inputs) - set(bench.original_pis))
         assert bench.outside_cone(target) == [n for n in snap.nets if n not in blocked]
         picks.append((target, snap.is_primary_input(target)))
@@ -438,6 +440,52 @@ def test_lock_output_is_pinned_over_the_policy_grid():
             text = f"{type(exc).__name__}: {exc}\n"
         digest.update(text.encode())
     assert digest.hexdigest() == LOCK_GRID_DIGEST
+
+
+def _as_verilog(netlist: Netlist) -> str:
+    """Primitive Verilog of a MUX-free netlist, one statement per gate
+    except the first two adjacent gates of one kind, which share a
+    statement; with comments and a statement spread over lines."""
+    ports = ", ".join(netlist.primary_inputs + netlist.primary_outputs)
+    lines = [f"// {netlist.name}", f"module {netlist.name} ({ports});",
+             f"  input {', '.join(netlist.primary_inputs)};",
+             f"  output {', '.join(netlist.primary_outputs)}; /* ports */"]
+    gates = netlist.gates
+    prim = {k: "buf" if k is GateKind.BUFF else k.value.lower() for k in GateKind}
+    pair = next(i for i in range(len(gates) - 1) if gates[i].kind is gates[i + 1].kind)
+    for i, g in enumerate(gates):
+        terms = ", ".join((g.output,) + g.inputs)
+        if i == pair:
+            lines.append(f"  {prim[g.kind]} u{i} ({terms}),")
+        elif i == pair + 1:
+            lines.append(f"    /* no instance name */ ({terms}); // shared")
+        else:
+            lines.append(f"  {prim[g.kind]} u{i} ({terms});")
+    lines.append("endmodule")
+    return "\n".join(lines) + "\n"
+
+
+# sha256 over k=64 locks of a ~2k-gate layered netlist read back from
+# Verilog and a 2k-gate random netlist read back from .bench: emitted
+# .bench, key string and ledger repr. MUX key gates with cone-walking
+# dummies, at the scale the lock benchmark runs.
+LOCK_SCALE_DIGEST = "3044803efc1bc5d8"
+
+
+def test_lock_path_is_pinned_at_benchmark_scale():
+    layered = layered_netlist(96, [320] * 8, 4, n_outputs=240, name="lay")
+    rand = random_netlist(64, 2000, 9, name="rnd")
+    inputs = (parse_verilog_subset(_as_verilog(layered)),
+              parse_bench(emit_bench(rand), name="rnd"))
+    assert [n.gates for n in inputs] == [layered.gates, rand.gates]
+    digest = hashlib.sha256()
+    for netlist, keygate, dummy in itertools.product(
+            inputs, ("mux_only", "mixed"), ("other_cone_net", "random_function")):
+        cfg = LockConfig(64, keygate_policy=keygate, dummy_policy=dummy, seed=7)
+        locked, key = lock(netlist, cfg)
+        text = f"{emit_bench(locked.netlist)}\n{key.to_string()}\n{locked.ledger!r}\n"
+        digest.update(text.encode())
+    assert digest.hexdigest()[:16] == LOCK_SCALE_DIGEST
 
 
 def _cyclic():

@@ -18,6 +18,7 @@ from benchlock.netlist import (
     truth_tables,
     vector_assignment,
 )
+from structure import tfi, tfo
 
 
 def net(gates, pis, pos, name="t"):
@@ -29,6 +30,38 @@ def diagnostics(gates, pis, pos):
     with pytest.raises(StructuralError) as exc:
         net(gates, pis, pos)
     return exc.value.diagnostics
+
+
+# -- gates ------------------------------------------------------------------------
+
+
+def test_gate_inputs_become_a_tuple():
+    from_list = Gate("y", GateKind.AND, ["a", "b"])
+    from_generator = Gate("y", GateKind.AND, (n for n in "ab"))
+    assert from_list.inputs == from_generator.inputs == ("a", "b")
+    assert type(from_list.inputs) is tuple and type(from_generator.inputs) is tuple
+
+
+def test_gate_is_immutable():
+    gate = Gate("y", GateKind.NOT, ("a",))
+    for field, value in (("output", "z"), ("kind", GateKind.BUFF), ("inputs", ("b",))):
+        with pytest.raises(AttributeError):
+            setattr(gate, field, value)
+    assert gate == Gate("y", GateKind.NOT, ("a",))
+
+
+def test_equal_gates_are_equal_and_hash_equal():
+    a = Gate("y", GateKind.XOR, ["a", "b"])
+    b = Gate("y", GateKind.XOR, ("a", "b"))
+    assert a == b and hash(a) == hash(b) and len({a, b}) == 1
+    assert a != Gate("y", GateKind.XOR, ("b", "a"))
+    assert a != Gate("y", GateKind.XNOR, ("a", "b"))
+
+
+def test_gate_repr_names_its_fields():
+    # ledger and gate reprs feed pinned digests
+    assert repr(Gate("y", GateKind.MUX, ["s", "a", "b"])) == (
+        "Gate(output='y', kind=<GateKind.MUX: 'MUX'>, inputs=('s', 'a', 'b'))")
 
 
 # -- construction checks --------------------------------------------------------
@@ -354,26 +387,26 @@ def test_simulate_deterministic_across_gate_orders():
 
 def test_tfi_tfo_single_gate():
     n = net([Gate("y", GateKind.AND, ("a", "b"))], ["a", "b"], ["y"])
-    assert n.tfi("y") == {"a", "b"}
-    assert n.tfo("a") == {"y"}
-    assert n.tfi("a") == set()
+    assert tfi(n, "y") == {"a", "b"}
+    assert tfo(n, "a") == {"y"}
+    assert tfi(n, "a") == set()
 
 
 def test_unloaded_pi_has_empty_cones():
     n = net([], ["a"], ["a"])
-    assert n.tfi("a") == set()
-    assert n.tfo("a") == set()
+    assert tfi(n, "a") == set()
+    assert tfo(n, "a") == set()
     assert n.fanout_count("a") == 1  # the PO slot
 
 
 def test_c17_tfo_of_g11():
-    assert c17().tfo("G11") == {"G16", "G19", "G22", "G23"}
+    assert tfo(c17(), "G11") == {"G16", "G19", "G22", "G23"}
 
 
 def test_unknown_net_raises():
     c = c17()
     with pytest.raises(UnknownNet):
-        c.tfi("nope")
+        tfi(c, "nope")
     with pytest.raises(UnknownNet):
         c.fanout_count("nope")
 
@@ -382,7 +415,7 @@ def test_cone_duality_exhaustive():
     n = random_netlist(4, 12, seed=5)
     for a in n.nets:
         for b in n.nets:
-            assert (b in n.tfi(a)) == (a in n.tfo(b))
+            assert (b in tfi(n, a)) == (a in tfo(n, b))
 
 
 def test_fanout_counts():
