@@ -29,6 +29,12 @@ from .netlist import GateKind, Netlist, cofactor, simulate_words
 from .solver import SatOutcome, Solver, SolverStats, solve
 
 DEFAULT_TIMEOUT_MS = 300_000
+# corruption_stats packs its sample pairs into simulations at most
+# MAX_SIM_WIDTH bits wide that hold at most MAX_SIM_BITS word bits in all
+# (width times nets); a group still holds one key when one key's inputs
+# alone exceed that.
+MAX_SIM_WIDTH = 1 << 16
+MAX_SIM_BITS = 1 << 22
 
 
 class Oracle:
@@ -345,11 +351,14 @@ def corruption_stats(
     corruption_rate is the fraction of (wrong key, input) pairs whose
     outputs differ anywhere from the oracle; mean_output_hamming averages
     the number of differing outputs over all pairs. Deterministic for a
-    fixed seed. The sampled inputs are packed one per bit: the oracle
-    answers them in one batch (one query per input), and the locked
-    netlist is simulated once per wrong key. An oracle whose ports are
-    not the locked netlist's data inputs and outputs raises
-    InterfaceError before the query.
+    fixed seed. The sampled inputs are packed one per bit and the oracle
+    answers them in one batch (one query per input). The locked netlist
+    is simulated on many pairs at once, (wrong key j, input x) at bit
+    ``j * inputs + x``: in groups of keys whose simulation is at most
+    MAX_SIM_WIDTH bits wide and holds at most MAX_SIM_BITS word bits, or
+    of one key if its inputs alone exceed that. An oracle whose ports are
+    not the locked netlist's data inputs and outputs raises InterfaceError
+    before the query.
     """
     locked = resolve_key_inputs(locked)
     netlist, key_inputs = locked.netlist, locked.key_inputs
@@ -379,14 +388,20 @@ def corruption_stats(
     }
     want = oracle.batch(words, inputs)
     ones = (1 << inputs) - 1
-    corrupted = 0
-    hamming_total = 0
-    for key in keys:
-        words.update((k, ones if bit else 0) for k, bit in zip(key_inputs, key))
-        got = simulate_words(netlist, words, inputs)
+    nets = len(netlist.primary_inputs) + len(netlist.gates)
+    group = max(1, min(MAX_SIM_WIDTH, MAX_SIM_BITS // nets) // inputs)
+    corrupted = hamming_total = 0
+    for start in range(0, len(keys), group):
+        chunk = keys[start:start + group]
+        # key j's copy of every input word sits at bit j * inputs
+        spread = sum(1 << (j * inputs) for j in range(len(chunk)))
+        packed = {pi: word * spread for pi, word in words.items()}
+        for i, k in enumerate(key_inputs):
+            packed[k] = sum(ones << (j * inputs) for j, key in enumerate(chunk) if key[i])
+        got = simulate_words(netlist, packed, len(chunk) * inputs)
         differs = 0
         for po, word in want.items():
-            diff = got[po] ^ word
+            diff = got[po] ^ word * spread
             differs |= diff
             hamming_total += diff.bit_count()
         corrupted += differs.bit_count()

@@ -26,6 +26,14 @@ _GATE_RE = re.compile(
     r"^\s*([A-Za-z0-9_]+)\s*=\s*([A-Za-z][A-Za-z0-9_]*)\s*\(\s*"
     r"([A-Za-z0-9_]+(?:\s*,\s*[A-Za-z0-9_]+)*)\s*\)\s*$"
 )
+# One row per line of "\n".join(text.splitlines()): (gate output, kind,
+# inputs, comment, port, net) for a line as emit_bench writes it, else the
+# whole line in the last group; a blank line's row is all empty.
+_CANONICAL_RE = re.compile(
+    r"^(?:([A-Za-z0-9_]+) = ([A-Z]+)\(([A-Za-z0-9_]+(?:, [A-Za-z0-9_]+)*)\)"
+    r"|(#.*)|(INPUT|OUTPUT)\(([A-Za-z0-9_]+)\)|(.*))$",
+    re.M,
+)
 
 # Common sequential kinds, rejected explicitly so the message is useful.
 _SEQUENTIAL = {"DFF", "SDFF", "DFFSR", "LATCH", "FF"}
@@ -51,42 +59,48 @@ def _syntax_error(line: str, lineno: int) -> BenchParseError:
 
 
 def parse_bench_document(text: str, name: str = "bench") -> BenchDocument:
-    """Parse .bench text into a validated netlist, keeping leading comments."""
+    """Parse .bench text into a validated netlist, keeping leading comments.
+
+    One regex pass reads every line laid out as emit_bench writes it; any
+    other line is matched on its own."""
     comments: list[str] = []
-    in_header = True
     inputs: list[str] = []
     outputs: list[str] = []
     gates: list[Gate] = []
-
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line:
-            continue
-        if line[0] == "#":
-            if in_header:
-                comments.append(line[1:].strip())
-            continue
-        in_header = False
-        # a line without '=' cannot match _GATE_RE, one with it not _INPUT_RE
-        if "=" not in line:
-            m = _INPUT_RE.match(raw)
-            if m is None:
-                raise _syntax_error(raw, lineno)
-            (inputs if m.group(1).upper() == "INPUT" else outputs).append(m.group(2))
-            continue
-        m = _GATE_RE.match(raw)
-        if m is None:
-            raise _syntax_error(raw, lineno)
-        out, kind_token, args = m.groups()
-        entry = GATE_KINDS.get(kind_token.upper())
-        if entry is None:
-            what = "sequential" if kind_token.upper() in _SEQUENTIAL else "unsupported"
-            raise UnsupportedGate(
-                f"{what} gate kind '{kind_token}'", lineno, raw.index(kind_token) + 1
-            )
-        # names hold no whitespace, so dropping it all leaves name,name,...
-        gates.append(Gate(out, entry[0], "".join(args.split()).split(",")))
-
+    rows = _CANONICAL_RE.findall("\n".join(text.splitlines()))
+    for lineno, (out, kind, args, comment, port, net, raw) in enumerate(rows, 1):
+        if raw:  # laid out otherwise than emit_bench writes it
+            line = raw.strip()
+            if not line or line[0] == "#":
+                comment = line
+            # a line without '=' cannot match _GATE_RE, one with it not _INPUT_RE
+            elif "=" not in line:
+                m = _INPUT_RE.match(raw)
+                if m is None:
+                    raise _syntax_error(raw, lineno)
+                port, net = m.groups()
+            else:
+                m = _GATE_RE.match(raw)
+                if m is None:
+                    raise _syntax_error(raw, lineno)
+                out, kind, args = m.groups()
+                # names hold no whitespace, so dropping it all leaves name,name,...
+                names = "".join(args.split()).split(",")
+        elif out:
+            names = args.split(", ")
+        if out:
+            entry = GATE_KINDS.get(kind) or GATE_KINDS.get(kind.upper())
+            if entry is None:
+                what = "sequential" if kind.upper() in _SEQUENTIAL else "unsupported"
+                line = text.splitlines()[lineno - 1]
+                raise UnsupportedGate(
+                    f"{what} gate kind '{kind}'", lineno, line.index(kind) + 1
+                )
+            gates.append(Gate(out, entry[0], names))
+        elif port:
+            (inputs if port.upper() == "INPUT" else outputs).append(net)
+        elif comment and not (inputs or outputs or gates):
+            comments.append(comment[1:].strip())
     return BenchDocument(tuple(comments), Netlist(name, inputs, outputs, gates))
 
 

@@ -1,5 +1,5 @@
 """Tseitin encoding of netlists to CNF, plus DIMACS import/export and a
-bit-parallel brute-force oracle for small formulas.
+model check.
 
 Literals are signed 1-based variable indices (DIMACS convention).
 Encoding hash-conses gates within one formula: a BUFF's output aliases its
@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from typing import Iterable, Mapping
 
 from .errors import CnfError
-from .netlist import Gate, GateKind, Netlist, input_patterns
+from .netlist import Gate, GateKind, Netlist
 
 VarMap = dict  # net name -> variable index, one circuit copy
 
@@ -42,11 +42,6 @@ class CnfFormula:
             if lit == 0 or abs(lit) > self.var_count:
                 raise CnfError(f"literal {lit} out of range (vars={self.var_count})")
         self.clauses.append(clause)
-
-    @property
-    def has_empty_clause(self) -> bool:
-        """An empty clause is representable but means immediate unsat."""
-        return any(not c for c in self.clauses)
 
 
 def encode_gate(cnf: CnfFormula, kind: GateKind, y: int, ins: list[int]) -> None:
@@ -223,7 +218,7 @@ def parse_dimacs_model(text: str) -> tuple[str, dict[int, int]]:
     return status, model
 
 
-# -- small-formula oracle ------------------------------------------------------
+# -- model check -------------------------------------------------------------
 
 
 def model_satisfies(cnf: CnfFormula, model: Mapping[int, int]) -> bool:
@@ -233,26 +228,3 @@ def model_satisfies(cnf: CnfFormula, model: Mapping[int, int]) -> bool:
         v if model.get(v, 0) == 1 else -v for v in range(1, cnf.var_count + 1)
     }
     return not any(map(true_lits.isdisjoint, cnf.clauses))
-
-
-def brute_force_status(cnf: CnfFormula, max_vars: int = 24) -> str:
-    """Exhaustive SAT check by bit-parallel enumeration of all assignments.
-
-    Independent of the CDCL solver; usable as a test oracle up to
-    ``max_vars`` variables.
-    """
-    n = cnf.var_count
-    if n > max_vars:
-        raise CnfError(f"{n} variables exceeds brute-force limit {max_vars}")
-    ones = (1 << (1 << n)) - 1
-    pos = [0] + input_patterns(n)
-    live = ones
-    for clause in cnf.clauses:
-        mask = 0
-        for lit in clause:
-            p = pos[abs(lit)]
-            mask |= p if lit > 0 else p ^ ones
-        live &= mask
-        if live == 0:
-            return "unsat"
-    return "sat"

@@ -347,22 +347,6 @@ class Netlist:
             by_kind=tuple(sorted(by_kind.items())),
         )
 
-    # -- comparison ---------------------------------------------------------------
-
-    def gate_map(self) -> dict[str, tuple[GateKind, tuple[str, ...]]]:
-        return {g.output: (g.kind, g.inputs) for g in self.gates}
-
-    def structurally_equal(self, other: "Netlist") -> bool:
-        """Same ports (ordered) and same gate set keyed by output net.
-
-        Gate list order is not significant; gate input order is.
-        """
-        return (
-            self.primary_inputs == other.primary_inputs
-            and self.primary_outputs == other.primary_outputs
-            and self.gate_map() == other.gate_map()
-        )
-
     def __repr__(self):
         return (
             f"Netlist({self.name!r}, {len(self.primary_inputs)} PI, "

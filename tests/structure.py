@@ -1,9 +1,12 @@
-"""Structural queries on net names that only tests use: the transitive
-fan-in and fan-out of one net, and the gates reading it. The program's
-one cone walk (``benchlock.netlist.reach``) runs on net ids; these cones
-are what it is checked against."""
+"""Queries that only tests use. On net names: the transitive fan-in and
+fan-out of one net, the gates reading it, and structural equality of two
+netlists; the program's one cone walk (``benchlock.netlist.reach``) runs
+on net ids, and these cones are what it is checked against. On CNF: an
+exhaustive satisfiability check, independent of the CDCL solver."""
 
-from benchlock.netlist import Gate, Netlist
+from benchlock.cnf import CnfFormula
+from benchlock.errors import CnfError
+from benchlock.netlist import Gate, GateKind, Netlist, input_patterns
 
 
 def _walk(net: str, step) -> set[str]:
@@ -41,3 +44,44 @@ def load_gates(netlist: Netlist, net: str) -> list[Gate]:
     UnknownNet for a net the netlist lacks."""
     netlist.driver(net)
     return [gate for gate in netlist.gates for inp in gate.inputs if inp == net]
+
+
+def gate_map(netlist: Netlist) -> dict[str, tuple[GateKind, tuple[str, ...]]]:
+    return {g.output: (g.kind, g.inputs) for g in netlist.gates}
+
+
+def structurally_equal(a: Netlist, b: Netlist) -> bool:
+    """Same ports (ordered) and same gate set keyed by output net.
+
+    Gate list order is not significant; gate input order is.
+    """
+    return (
+        a.primary_inputs == b.primary_inputs
+        and a.primary_outputs == b.primary_outputs
+        and gate_map(a) == gate_map(b)
+    )
+
+
+def has_empty_clause(cnf: CnfFormula) -> bool:
+    """An empty clause is representable but means immediate unsat."""
+    return any(not c for c in cnf.clauses)
+
+
+def brute_force_status(cnf: CnfFormula, max_vars: int = 24) -> str:
+    """Exhaustive SAT check by bit-parallel enumeration of all assignments,
+    up to ``max_vars`` variables."""
+    n = cnf.var_count
+    if n > max_vars:
+        raise CnfError(f"{n} variables exceeds brute-force limit {max_vars}")
+    ones = (1 << (1 << n)) - 1
+    pos = [0] + input_patterns(n)
+    live = ones
+    for clause in cnf.clauses:
+        mask = 0
+        for lit in clause:
+            p = pos[abs(lit)]
+            mask |= p if lit > 0 else p ^ ones
+        live &= mask
+        if live == 0:
+            return "unsat"
+    return "sat"

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from benchlock import attack
 from benchlock.attack import (
     Oracle,
     _miter,
@@ -29,7 +30,7 @@ from benchlock.locking import (
     lock,
     resolve_key_inputs,
 )
-from benchlock.netlist import Gate, GateKind, Netlist, truth_tables
+from benchlock.netlist import Gate, GateKind, Netlist, simulate_words, truth_tables
 from benchlock.solver import solve
 
 
@@ -503,6 +504,71 @@ def test_corruption_matches_per_pair_reference(
     assert got.as_dict() == _corruption_per_pair(
         locked, n, key, wrong_keys, inputs, seed
     )
+
+
+def test_corruption_simulates_at_most_max_width(monkeypatch):
+    # 3 x 22,000 pairs exceed one simulation's 65,536 bits: two key groups
+    widths = []
+
+    def spy(netlist, words, width):
+        assert width <= attack.MAX_SIM_WIDTH == 65_536
+        widths.append(width)
+        return simulate_words(netlist, words, width)
+
+    monkeypatch.setattr(attack, "simulate_words", spy)
+    c = c17()
+    locked, key = lock(c, LockConfig(key_size=4, keygate_policy="xor_only", seed=42))
+    got = corruption_stats(locked, Oracle(c), key, wrong_keys=3, inputs=22_000, seed=5)
+    assert widths == [22_000, 44_000, 22_000]  # the oracle, then two key groups
+    assert got.as_dict() == _corruption_per_pair(locked, c, key, 3, 22_000, 5)
+
+
+def test_corruption_holds_at_most_max_bits(monkeypatch):
+    # the 209 nets of this c432_scale lock at 10,000 inputs: two keys per
+    # simulation
+    original = c432_scale()
+    locked, key = lock(original, LockConfig(key_size=8, keygate_policy="xor_only", seed=42))
+    nets = len(locked.netlist.nets)
+    widths = []
+
+    def spy(netlist, words, width):
+        if netlist is locked.netlist:
+            assert width * nets <= attack.MAX_SIM_BITS
+            widths.append(width)
+        return simulate_words(netlist, words, width)
+
+    def run():
+        return corruption_stats(locked, Oracle(original), key, wrong_keys=3,
+                                inputs=10_000, seed=5).as_dict()
+
+    monkeypatch.setattr(attack, "simulate_words", spy)
+    got = run()
+    assert nets == 209 and widths == [20_000, 10_000]
+    monkeypatch.setattr(attack, "MAX_SIM_BITS", 1 << 40)  # one group of three
+    assert run() == got and widths[2:] == [30_000]
+
+
+# The verify benchmark's corrupt jobs at workload seed 1: variant v locks
+# c432_scale(600 + v) with k=12 XOR key gates at the second draw of
+# Random(1000 + v), and samples 50 wrong keys x 50 inputs at the v-th draw
+# of Random(1). The digest is sha256 over the 12 CorruptionStats.as_dict()s
+# in variant order.
+VERIFY_POOL_CORRUPTION_DIGEST = "fe41e8191c914202"
+
+
+def test_verify_pool_corruption_is_pinned():
+    corrupt_seeds = random.Random(1)
+    digest = hashlib.sha256()
+    for v in range(12):
+        pool = random.Random(1000 + v)
+        lock_seed = [pool.randrange(1, 10**6) for _ in range(4)][1]
+        original = c432_scale(600 + v)
+        locked, key = lock(original, LockConfig(12, keygate_policy="xor_only",
+                                                seed=lock_seed))
+        stats = corruption_stats(locked, Oracle(original), key, wrong_keys=50,
+                                 inputs=50, seed=corrupt_seeds.randrange(1, 10**6))
+        digest.update(json.dumps(stats.as_dict(), sort_keys=True).encode())
+    assert digest.hexdigest()[:16] == VERIFY_POOL_CORRUPTION_DIGEST
 
 
 def test_corruption_honours_key_prefix_on_plain_netlist():

@@ -3,7 +3,6 @@ import pytest
 from benchlock.circuits import random_netlist
 from benchlock.cnf import (
     CnfFormula,
-    brute_force_status,
     emit_dimacs,
     model_satisfies,
     parse_dimacs,
@@ -13,6 +12,7 @@ from benchlock.cnf import (
 from benchlock.errors import CnfError
 from benchlock.netlist import Gate, GateKind, Netlist, vector_assignment
 from benchlock.solver import solve
+from structure import brute_force_status, has_empty_clause
 
 
 def test_and_gate_block():
@@ -129,5 +129,5 @@ def test_model_satisfies():
 def test_empty_clause_is_flagged():
     cnf = CnfFormula(var_count=1)
     cnf.add_clause([])
-    assert cnf.has_empty_clause
+    assert has_empty_clause(cnf)
     assert brute_force_status(cnf) == "unsat"

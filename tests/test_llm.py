@@ -34,6 +34,7 @@ from benchlock.locking import (
 )
 from benchlock.verify import functional_verify
 from benchlock.verilog import parse_verilog_subset
+from structure import structurally_equal
 
 NAND_VERILOG = """module m(a, b, y);
 input a, b;
@@ -133,7 +134,7 @@ def test_split_bench_stitches_with_overlap():
     assert cont == 1
     # the continuation request is the exact fixed string
     assert mock.calls[1][-1] == ChatMessage("user", CONTINUE_PROMPT)
-    assert parse_bench(text).structurally_equal(c17())
+    assert structurally_equal(parse_bench(text), c17())
 
 
 def test_always_truncated_hits_the_cap():
@@ -158,7 +159,7 @@ def test_convert_accepts_valid_output():
     netlist, record = llm_convert(MockTransport([NAND_BENCH]), NAND_VERILOG)
     assert record.final_source == "llm"
     assert record.validation_outcomes[-1] == "ok"
-    assert netlist.structurally_equal(parse_verilog_subset(NAND_VERILOG))
+    assert structurally_equal(netlist, parse_verilog_subset(NAND_VERILOG))
 
 
 def test_convert_rejects_wrong_function_then_repairs():

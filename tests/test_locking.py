@@ -37,7 +37,7 @@ from benchlock.locking import (
 from benchlock.netlist import Gate, GateKind, Netlist, truth_tables
 from benchlock.verify import structural_check
 from benchlock.verilog import parse_verilog_subset
-from structure import load_gates, tfi, tfo
+from structure import load_gates, structurally_equal, tfi, tfo
 
 
 def and_gate():
@@ -202,7 +202,7 @@ def test_pi_that_is_po_not_eligible():
 def test_empty_insertion_is_identity():
     n = and_gate()
     locked = insert_xor_keygates(n, [], ())
-    assert locked.netlist.structurally_equal(n)
+    assert structurally_equal(locked.netlist, n)
     assert locked.key_inputs == ()
 
 
@@ -614,7 +614,7 @@ def test_apply_complemented_key_complements_po_driver():
 def test_apply_empty_key_is_identity():
     c = c17()
     applied = apply_key(c, Key(()))
-    assert applied.structurally_equal(c)
+    assert structurally_equal(applied, c)
 
 
 def test_apply_key_simplifies_to_buff_and_not():

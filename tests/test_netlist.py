@@ -18,7 +18,7 @@ from benchlock.netlist import (
     truth_tables,
     vector_assignment,
 )
-from structure import tfi, tfo
+from structure import structurally_equal, tfi, tfo
 
 
 def net(gates, pis, pos, name="t"):
@@ -477,9 +477,9 @@ def test_truth_tables_refuses_too_many_inputs():
 def test_structural_equality_ignores_gate_order():
     c = c17()
     r = Netlist(c.name, c.primary_inputs, c.primary_outputs, c.gates[::-1])
-    assert c.structurally_equal(r)
+    assert structurally_equal(c, r)
     other = Netlist(c.name, c.primary_inputs, ("G22",), c.gates)
-    assert not c.structurally_equal(other)
+    assert not structurally_equal(c, other)
 
 
 def test_acyclic_iff_topo_succeeds():

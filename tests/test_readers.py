@@ -2,14 +2,17 @@
 the Verilog subset, and a golden table of reader outcomes on odd and
 malformed input (exception type, message, line and column)."""
 
+import re
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from benchlock import errors
-from benchlock.bench import emit_bench, lower_mux_gates, parse_bench
+from benchlock.bench import emit_bench, lower_mux_gates, parse_bench, parse_bench_document
 from benchlock.netlist import Gate, GateKind, Netlist
 from benchlock.verilog import parse_verilog_subset
+from structure import structurally_equal
 
 # Outcome of parsing each text: ("ok", emitted .bench of the result) or
 # (exception type, message, line, column).
@@ -84,6 +87,12 @@ READER_GOLDENS = [
      ('ok', '# t\n# 2 inputs  1 outputs  2 gates\nINPUT(a)\nINPUT(b)\nOUTPUT(y)\nw = NOT(a)\ny = AND(w, b)\n')),
     ('bench-comments', 'bench', '# one\n#two\n\nINPUT(a)\nINPUT(b)\nOUTPUT(y)\n# mid\ny = OR(a, b)\n',
      ('ok', '# t\n# 2 inputs  1 outputs  1 gates\nINPUT(a)\nINPUT(b)\nOUTPUT(y)\ny = OR(a, b)\n')),
+    ('bench-canonical-crlf', 'bench', '# t\r\n# 2 inputs  1 outputs  1 gates\r\nINPUT(a)\r\nINPUT(b)\r\nOUTPUT(y)\r\ny = NAND(a, b)\r\n',
+     ('ok', '# t\n# 2 inputs  1 outputs  1 gates\nINPUT(a)\nINPUT(b)\nOUTPUT(y)\ny = NAND(a, b)\n')),
+    ('bench-formfeed-in-comment', 'bench', '# t\x0cINPUT(a)\nOUTPUT(y)\ny = NOT(a)\n',
+     ('ok', '# t\n# 1 inputs  1 outputs  1 gates\nINPUT(a)\nOUTPUT(y)\ny = NOT(a)\n')),
+    ('bench-formfeed-in-comment-bad', 'bench', '# t\x0cx\n# 1 inputs  1 outputs  1 gates\nINPUT(a)\nOUTPUT(y)\ny = NOT(a)\n',
+     ('BenchParseError', "line 2, col 1: unrecognized line: 'x'", 2, 1)),
     ('v-tabs', 'verilog', 'module m(a,\tb,\ty);\ninput\ta ,\tb;\noutput\ty;\nnand\tg (\ty ,a,\tb\t);\nendmodule\n',
      ('ok', '# m\n# 2 inputs  1 outputs  1 gates\nINPUT(a)\nINPUT(b)\nOUTPUT(y)\ny = NAND(a, b)\n')),
     ('v-ok-lists', 'verilog', 'module m(a, b, y);\ninput a, b;\noutput y;\nwire w;\nand (w, a, b), (y, w, a);\nendmodule\n',
@@ -211,9 +220,65 @@ def test_strict_bench_round_trip_is_identity_and_byte_stable(n):
     text = emit_bench(n, dialect="strict", lower_mux=True)
     again = parse_bench(text, n.name)
     lowered = lower_mux_gates(n)
-    assert again.structurally_equal(lowered)
+    assert structurally_equal(again, lowered)
     assert GateKind.MUX not in {g.kind for g in again.gates}
     assert emit_bench(again, dialect="strict") == text
+
+
+def _document_outcome(text):
+    try:
+        doc = parse_bench_document(text, "t")
+    except errors.BenchlockError as exc:
+        return (type(exc).__name__, str(exc), getattr(exc, "line", None),
+                getattr(exc, "column", None))
+    n = doc.netlist
+    return (doc.comments, n.primary_inputs, n.primary_outputs, n.gates, n.topo_order())
+
+
+def _relaid(text):
+    """The same document with CRLF line ends, a blank line after every
+    line, and every other line laid out freely: tabs and spaces before
+    every line and around every token, lower-case keywords and kinds."""
+    def free(line):
+        line = re.sub(r"^(INPUT|OUTPUT)\(", lambda m: f"{m[1].lower()}\t( ", line)
+        line = re.sub(r" = ([A-Z]+)\(", lambda m: f"\t=  {m[1].lower()} (", line)
+        return " \t" + line.replace(", ", " ,\t") + " "
+    lines = (free(line) if i % 2 else line for i, line in enumerate(text.splitlines()))
+    return "\r\n\r\n".join(lines) + "\r\n"
+
+
+# Layout does not change what a document reads as: a canonical document,
+# the same with a blank line appended (same line numbers) and a copy with
+# canonical and freely laid out lines give the same comments, ports, gates
+# and order.
+@settings(derandomize=True, deadline=None, max_examples=80, database=None)
+@given(n=sorted_netlists(_BENCH_NAMES))
+def test_canonical_and_free_layouts_read_alike(n):
+    text = emit_bench(n)
+    got = _document_outcome(text)
+    assert got == _document_outcome(text + "\n") == _document_outcome(_relaid(text))
+
+
+@pytest.mark.parametrize("gates, error", [
+    ("y = NOT(a)\ny = BUFF(b)\n", "StructuralError"),
+    ("y = AND(a, ghost)\n", "StructuralError"),
+    ("x = AND(a, y)\ny = NOT(x)\n", "StructuralError"),
+    ("y = NOT(a, b)\n", "StructuralError"),
+    ("y = DFF(a)\n", "UnsupportedGate"),
+    ("y = and(a, b)\n", None),
+    ("y = AND(a,, b)\n", "BenchParseError"),
+], ids=["multi-driver", "undriven", "cycle", "arity", "dff", "lower-case-kind", "syntax"])
+def test_canonical_and_per_line_forms_fail_alike(gates, error):
+    # a trailing space keeps every line number and column but sends each
+    # line to the per-line match
+    text = "# t\nINPUT(a)\nINPUT(b)\nOUTPUT(y)\n" + gates
+    spaced = "".join(line + " \n" for line in text.splitlines())
+    got = _document_outcome(text)
+    assert got == _document_outcome(text + "\n") == _document_outcome(spaced)
+    if error:
+        assert got[0] == error
+    else:  # a lower-case kind is read, not refused
+        assert got[0] == ("t",)
 
 
 _PRIMITIVE = {GateKind.AND: "and", GateKind.NAND: "nand", GateKind.OR: "or",

@@ -6,9 +6,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from benchlock.cnf import CnfFormula, brute_force_status, model_satisfies
+from benchlock.cnf import CnfFormula, model_satisfies
 from benchlock.errors import CnfError, SolverTimeout
 from benchlock.solver import Solver, solve, solve_with_external
+from structure import brute_force_status
 
 
 def formula(n_vars, clauses):
