@@ -50,6 +50,8 @@ GATE_KINDS: dict[str, tuple[GateKind, int]] = {
     "BUF": (GateKind.BUFF, 1),
     "MUX": (GateKind.MUX, 3),
 }
+# The kinds by module-level name, for _eval_into's is-dispatch.
+_AND, _NAND, _OR, _NOR, _XOR, _XNOR, _NOT, _BUFF, _MUX = GateKind
 # The input counts each kind takes, by kind value.
 _ARITY = {
     name: range(exact, exact + 1) if exact else range(2, sys.maxsize)
@@ -90,34 +92,42 @@ class CircuitStats:
         }
 
 
-def eval_gate(kind: GateKind, vals: list[int], ones: int = 1) -> int:
-    """Evaluate one gate over bit-parallel integer masks.
+def _eval_into(values: dict | list, gates: Iterable[Gate], ones: int) -> dict | list:
+    """The one gate-evaluation loop: write each ``(output, kind, inputs)``
+    gate's word, in order, into ``values`` (by net, or by index) and return
+    it. ``ones`` is the all-ones mask of the width; NOT, NAND, NOR and XNOR
+    flip with ``^ ones``, BUFF aliases its input's word, and n-ary gates
+    fold left to right."""
+    for out, kind, ins in gates:
+        if kind is _BUFF:
+            values[out] = values[ins[0]]
+        elif kind is _NOT:
+            values[out] = values[ins[0]] ^ ones
+        elif kind is _MUX:  # (select, in0, in1); select=0 picks in0
+            s, a, b = ins
+            s = values[s]
+            values[out] = (values[a] & ~s) | (values[b] & s)
+        else:
+            v = values[ins[0]]
+            if kind is _AND or kind is _NAND:
+                for i in ins[1:]:
+                    v &= values[i]
+                values[out] = v ^ ones if kind is _NAND else v
+            elif kind is _OR or kind is _NOR:
+                for i in ins[1:]:
+                    v |= values[i]
+                values[out] = v ^ ones if kind is _NOR else v
+            else:
+                for i in ins[1:]:
+                    v ^= values[i]
+                values[out] = v ^ ones if kind is _XNOR else v
+    return values
 
-    ``ones`` is the all-ones mask for the simulation width; with ones=1 this
-    is plain single-vector evaluation.
-    """
-    if kind is GateKind.AND or kind is GateKind.NAND:
-        v = vals[0]
-        for x in vals[1:]:
-            v &= x
-        return v ^ ones if kind is GateKind.NAND else v
-    if kind is GateKind.OR or kind is GateKind.NOR:
-        v = vals[0]
-        for x in vals[1:]:
-            v |= x
-        return v ^ ones if kind is GateKind.NOR else v
-    if kind is GateKind.XOR or kind is GateKind.XNOR:
-        v = vals[0]
-        for x in vals[1:]:
-            v ^= x
-        return v ^ ones if kind is GateKind.XNOR else v
-    if kind is GateKind.NOT:
-        return vals[0] ^ ones
-    if kind is GateKind.BUFF:
-        return vals[0]
-    # MUX(select, in0, in1)
-    s, a, b = vals
-    return (a & (s ^ ones)) | (b & s)
+
+def eval_gate(kind: GateKind, vals: list[int], ones: int = 1) -> int:
+    """One gate of the ``_eval_into`` loop over bit-parallel masks; with
+    ones=1 this is plain single-vector evaluation."""
+    return _eval_into([*vals, 0], [(-1, kind, range(len(vals)))], ones)[-1]
 
 
 class Netlist:
@@ -360,9 +370,9 @@ def simulate_words(
     """Bit-parallel simulation of ``width`` input vectors at once.
 
     Bit j of ``words[pi]`` is the value of ``pi`` in vector j; the result
-    holds every net's word in the same packing. Extra keys in ``words``
-    are ignored. This is the one gate-evaluation loop: single vectors,
-    sampled batches and truth tables all run through it.
+    holds every net's word in the same packing: primary inputs, then the
+    gates in ``topo_order()``. Extra keys in ``words`` are ignored. Single
+    vectors, sampled batches and truth tables all run ``_eval_into`` here.
     """
     ones = (1 << width) - 1
     values: dict[str, int] = {}
@@ -375,11 +385,7 @@ def simulate_words(
                 f"value for '{pi}' does not fit {width} bit(s): {words[pi]!r}"
             )
         values[pi] = word
-    for gate in netlist.topo_order():
-        values[gate.output] = eval_gate(
-            gate.kind, [values[i] for i in gate.inputs], ones
-        )
-    return values
+    return _eval_into(values, netlist.topo_order(), ones)
 
 
 EXHAUSTIVE_PI_LIMIT = 28
@@ -413,14 +419,16 @@ def truth_tables(
     input vector j, where vector j assigns bit i of j to the i-th name in
     ``input_order`` (default: the netlist's PI order). Inputs listed in
     ``extra`` are held at the given constant instead of enumerated.
-    Refuses more than EXHAUSTIVE_PI_LIMIT enumerated inputs.
+    Refuses an ``input_order`` with a repeated name or a name that is not
+    a primary input, and more than EXHAUSTIVE_PI_LIMIT enumerated inputs.
     """
     extra = dict(extra or {})
-    order = [
-        pi
-        for pi in (tuple(input_order) if input_order else netlist.primary_inputs)
-        if pi not in extra
-    ]
+    names = tuple(input_order or netlist.primary_inputs)
+    for pi, count in Counter(names).items():
+        if count > 1 or not netlist.is_primary_input(pi):
+            what = "repeats" if count > 1 else "names a non-input:"
+            raise ValueError(f"input_order {what} {pi!r}")
+    order = [pi for pi in names if pi not in extra]
     n = len(order)
     if n > EXHAUSTIVE_PI_LIMIT:
         raise ValueError(
@@ -499,9 +507,9 @@ def cofactor(
     simplified and in topological order, and every net with a fixed value,
     the assigned ones first. XOR(x,0) folds to BUFF(x), XOR(x,1) to
     NOT(x), XNOR dually; a MUX with a constant select collapses to the
-    selected input; constants propagate through every gate kind. A gate
-    may still read a net in ``const`` (a MUX data input); callers
-    materialize such nets as they need.
+    selected input; ``_eval_into`` writes a gate with all inputs constant
+    straight into ``const``. A gate may still read a net in ``const`` (a
+    MUX data input); callers materialize such nets as they need.
     """
     const = dict(assignment)
     gates: list[Gate] = []
@@ -511,7 +519,7 @@ def cofactor(
             continue
         vals = [const.get(i) for i in gate.inputs]
         if None not in vals:
-            const[gate.output] = eval_gate(gate.kind, vals)
+            _eval_into(const, (gate,), 1)
             continue
         value, kind, ins = _fold_constants(gate.kind, list(gate.inputs), vals)
         if value is None:

@@ -117,7 +117,8 @@ def functional_verify(
             if delta:
                 j = (delta & -delta).bit_length() - 1
                 ctrex = vector_assignment(order, j)
-                assert applied.simulate(ctrex) != original.simulate(ctrex)
+                if applied.simulate(ctrex) == original.simulate(ctrex):
+                    raise AssertionError("counterexample does not replay in simulation")
                 return Verdict(
                     True, (), "mismatch", "exhaustive", counterexample=ctrex
                 )

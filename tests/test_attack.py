@@ -32,6 +32,7 @@ from benchlock.locking import (
 )
 from benchlock.netlist import Gate, GateKind, Netlist, simulate_words, truth_tables
 from benchlock.solver import solve
+from benchlock.verify import functional_verify
 
 
 def and_gate():
@@ -569,6 +570,39 @@ def test_verify_pool_corruption_is_pinned():
                                  inputs=50, seed=corrupt_seeds.randrange(1, 10**6))
         digest.update(json.dumps(stats.as_dict(), sort_keys=True).encode())
     assert digest.hexdigest()[:16] == VERIFY_POOL_CORRUPTION_DIGEST
+
+
+# The verify benchmark's locks: variant v locks random_netlist(16, 1200,
+# 100 + v) with k=10 XOR key gates at the first draw of Random(1000 + v),
+# and c432_scale(600 + v) with k=12 at the second. The digest is sha256
+# over the Verdict.as_dict()s, per variant in order: exhaustive verifies
+# of the first lock under the correct key and under each of its first
+# three one-bit flips, then a SAT verify of the second lock under the
+# correct key with bit 0 flipped. Mismatches carry their counterexamples.
+VERIFY_POOL_VERDICT_DIGEST = "1e116b6fa0724db6"
+
+
+def test_verify_pool_verdicts_are_pinned():
+    def flipped(key, i):
+        return Key(key.bits[:i] + (1 - key[i],) + key.bits[i + 1:])
+
+    digest = hashlib.sha256()
+    for v in range(12):
+        pool = random.Random(1000 + v)
+        seeds = [pool.randrange(1, 10**6) for _ in range(4)]
+        original = random_netlist(16, 1200, 100 + v)
+        locked, key = lock(original, LockConfig(10, keygate_policy="xor_only",
+                                                seed=seeds[0]))
+        verdicts = [functional_verify(locked, original, k, mode="exhaustive")
+                    for k in [key] + [flipped(key, i) for i in range(3)]]
+        original = c432_scale(600 + v)
+        locked, key = lock(original, LockConfig(12, keygate_policy="xor_only",
+                                                seed=seeds[1]))
+        verdicts.append(functional_verify(locked, original, flipped(key, 0),
+                                          mode="sat"))
+        for verdict in verdicts:
+            digest.update(json.dumps(verdict.as_dict(), sort_keys=True).encode())
+    assert digest.hexdigest()[:16] == VERIFY_POOL_VERDICT_DIGEST
 
 
 def test_corruption_honours_key_prefix_on_plain_netlist():

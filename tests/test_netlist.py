@@ -10,9 +10,11 @@ from hypothesis import strategies as st
 from benchlock.circuits import c17, random_netlist
 from benchlock.errors import StructuralError, UnknownNet
 from benchlock.netlist import (
+    GATE_KINDS,
     Gate,
     GateKind,
     Netlist,
+    eval_gate,
     input_patterns,
     simulate_words,
     truth_tables,
@@ -364,6 +366,54 @@ def test_kernel_matches_reference_per_vector(
         assert 0 <= word < 1 << width, name
 
 
+# Every kind at every arity it takes up to 8 (random_netlist builds at
+# most 3), with inputs drawn with repeats from fewer primary inputs.
+@pytest.mark.parametrize("kind", GateKind, ids=lambda kind: kind.value)
+def test_every_kind_and_arity_matches_reference(kind):
+    exact = GATE_KINDS[kind.value][1]
+    for arity, width in itertools.product([exact] if exact else range(2, 9),
+                                          [1, 64, 1 << 16]):
+        _check_kind_against_reference(kind, arity, width)
+
+
+def _check_kind_against_reference(kind, arity, width):
+    rng = random.Random(f"{kind.value}/{arity}/{width}")
+    ones = (1 << width) - 1
+    for _ in range(3):
+        pis = [f"i{j}" for j in range(rng.randint(1, arity))]
+        ins = [rng.choice(pis) for _ in range(arity)]
+        # the second gate reads the first, so a gate output is an input too
+        gates = [Gate("y", kind, ins), Gate("z", kind, ["y"] + ins[1:])]
+        n = net(gates, pis, ["z"])
+        words = {pi: rng.getrandbits(width) for pi in pis}
+        got = simulate_words(n, words, width)
+        assert list(got) == pis + ["y", "z"]
+        for gate in gates:
+            vals = [got[i] for i in gate.inputs]
+            assert eval_gate(kind, vals, ones) == got[gate.output]
+        positions = range(width) if width <= 64 else [0, width - 1] + rng.sample(
+            range(1, width - 1), 100)
+        for j in positions:
+            want = _reference_values(n, {pi: (w >> j) & 1 for pi, w in words.items()})
+            assert {name: (w >> j) & 1 for name, w in got.items()} == want, j
+            for gate in gates:
+                vals = [want[i] for i in gate.inputs]
+                assert eval_gate(kind, vals) == want[gate.output], j
+        assert all(0 <= w <= ones for w in got.values())
+
+
+def test_kernel_result_lists_inputs_then_topological_order():
+    gates = [
+        Gate("y", GateKind.AND, ("m", "b")),
+        Gate("m", GateKind.NOT, ("a",)),
+        Gate("w", GateKind.BUFF, ("b",)),
+    ]
+    n = net(gates, ["b", "a"], ["y", "w"])
+    got = simulate_words(n, {"a": 1, "b": 1}, 1)
+    assert list(got) == ["b", "a", "m", "y", "w"]
+    assert got == {"b": 1, "a": 1, "m": 0, "y": 0, "w": 1}
+
+
 def test_kernel_checks_inputs():
     n = net([Gate("y", GateKind.AND, ("a", "b"))], ["a", "b"], ["y"])
     with pytest.raises(UnknownNet, match="missing primary input 'b'"):
@@ -463,6 +513,17 @@ def test_truth_tables_extra_pins_inputs():
     n = net([Gate("y", GateKind.AND, ("a", "b"))], ["a", "b"], ["y"])
     tabs = truth_tables(n, input_order=["a"], extra={"b": 1})
     assert tabs["y"] == tabs["a"]
+
+
+def test_truth_tables_refuses_a_repeated_or_unknown_input_order_name():
+    n = net([Gate("y", GateKind.AND, ("a", "b"))], ["a", "b"], ["y"])
+    with pytest.raises(ValueError, match="input_order repeats 'a'"):
+        truth_tables(n, ["a", "a", "b"])
+    with pytest.raises(ValueError, match="input_order names a non-input: 'c'"):
+        truth_tables(n, ["a", "c", "b"])
+    with pytest.raises(ValueError, match="input_order names a non-input: 'y'"):
+        truth_tables(n, ["a", "b", "y"])
+    assert truth_tables(n, ["b", "a"])["y"] == 0b1000
 
 
 def test_truth_tables_refuses_too_many_inputs():

@@ -1,5 +1,10 @@
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+import benchlock
 from benchlock.attack import _miter
 from benchlock.circuits import c17, c432_scale, parallel_cones, random_netlist
 from benchlock.errors import LockError
@@ -94,6 +99,33 @@ def test_functional_verify_wrong_key_po_driver_mismatch():
     assert verdict.counterexample is not None
     x = verdict.counterexample
     assert locked.netlist.simulate({**x, "keyinput0": 1}) != c.simulate(x)
+
+
+REPLAY_UNDER_O = """
+from benchlock.circuits import c17
+from benchlock.locking import Key, insert_xor_keygates
+from benchlock.netlist import Netlist
+from benchlock.verify import functional_verify
+
+assert not __debug__
+Netlist.simulate = lambda self, assignment: {}  # every replay agrees
+c = c17()
+try:
+    functional_verify(insert_xor_keygates(c, ["G22"], (0,)), c, Key((1,)), "exhaustive")
+except AssertionError as exc:
+    print("refused:", exc)
+"""
+
+
+def test_exhaustive_counterexample_replay_survives_python_O():
+    # a bare assert would be stripped by -O and the verdict returned
+    src = str(Path(benchlock.__file__).resolve().parent.parent)
+    out = subprocess.run(
+        [sys.executable, "-O", "-c", REPLAY_UNDER_O],
+        capture_output=True, text=True, check=True, timeout=60,
+        env={"PYTHONPATH": src},
+    ).stdout
+    assert out == "refused: counterexample does not replay in simulation\n"
 
 
 def test_auto_mode_switches_to_sat_beyond_16_inputs():
