@@ -259,18 +259,38 @@ ATTACK_POOL_CYCLE = [("xor", 8), ("sat_hard", 8), ("xor", 9), ("sat_hard", 9),
 ATTACK_POOL_DIGEST = "7306ddc586ff23d7"
 
 
-def test_attack_pool_is_pinned():
-    digest = hashlib.sha256()
+def _attack_pool():
+    """(lock seed j, original, locked, key) for each job of the pool."""
     for j in range(4 * len(ATTACK_POOL_CYCLE)):
         original = c432_scale(433 + j)
         style, k = ATTACK_POOL_CYCLE[j % len(ATTACK_POOL_CYCLE)]
         cfg = (LockConfig(k, keygate_policy="xor_only", seed=j) if style == "xor"
                else LockConfig(k, preset="sat_hard", seed=j))
-        locked, _ = lock(original, cfg)
+        yield (j, original, *lock(original, cfg))
+
+
+def test_attack_pool_is_pinned():
+    digest = hashlib.sha256()
+    for _, original, locked, _ in _attack_pool():
         result = sat_attack(locked, Oracle(original), timeout_ms=None).as_dict()
         del result["elapsed_ms"]
         digest.update(json.dumps(result, sort_keys=True).encode())
     assert digest.hexdigest()[:16] == ATTACK_POOL_DIGEST
+
+
+# The same pool's corruption samples, as `pipeline --wrong-keys 4 --inputs 16
+# --seed j` draws them: sha256 over the 56 CorruptionStats.as_dict()s in pool
+# order.
+ATTACK_POOL_CORRUPTION_DIGEST = "ce187f53e34509da"
+
+
+def test_attack_pool_corruption_is_pinned():
+    digest = hashlib.sha256()
+    for j, original, locked, key in _attack_pool():
+        stats = corruption_stats(locked, Oracle(original), key, wrong_keys=4,
+                                 inputs=16, seed=j)
+        digest.update(json.dumps(stats.as_dict(), sort_keys=True).encode())
+    assert digest.hexdigest()[:16] == ATTACK_POOL_CORRUPTION_DIGEST
 
 
 def test_the_dip_loop_builds_no_netlist(monkeypatch):

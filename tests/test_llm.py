@@ -1,5 +1,6 @@
 import hashlib
 import json
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -541,6 +542,32 @@ def test_run_record_goldens(name):
         assert result.correct_key.to_string() == "10"
         # an accepted answer has no ledger, like a locked file read back
         assert (result.ledger == ()) == (record.final_source == "llm")
+
+
+# The verify benchmark's llm-sweep jobs: variant v answers with
+# random_netlist(14, 160, 800 + v) XOR-locked at 8 random nets under the
+# all-ones key, with no key line, so the validator sweeps the key space.
+# The job's Random is seeded by the fourth draw of Random(1000 + v); its
+# first draw seeds the LockConfig and its second the net selection. The
+# digest is sha256 over each record's as_dict() and accepted key, in
+# variant order.
+VERIFY_POOL_SWEEP_DIGEST = "a2960cdd7831afa9"
+
+
+def test_verify_pool_sweep_records_are_pinned():
+    digest = hashlib.sha256()
+    for v in range(12):
+        pool = random.Random(1000 + v)
+        rng = random.Random([pool.randrange(1, 10**6) for _ in range(4)][3])
+        original = random_netlist(14, 160, 800 + v, name=f"llm{v}")
+        cfg = LockConfig(8, seed=rng.randrange(1, 10**6))
+        nets = select_nets(original, "random", 8, rng.randrange(1, 10**6))
+        answer = emit_bench(insert_xor_keygates(original, nets, (1,) * 8).netlist)
+        netlist = parse_bench(emit_bench(original), name=original.name)
+        locked, record = llm_obfuscate(MockTransport([answer]), netlist, cfg)
+        digest.update(json.dumps(record.as_dict(), sort_keys=True).encode())
+        digest.update(locked.correct_key.to_string().encode())
+    assert digest.hexdigest()[:16] == VERIFY_POOL_SWEEP_DIGEST
 
 
 def test_fallback_record_keeps_every_attempt():
