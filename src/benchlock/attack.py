@@ -19,8 +19,8 @@ from __future__ import annotations
 
 import random
 import time
-from dataclasses import dataclass, field
-from typing import Iterable
+from dataclasses import asdict, dataclass, field
+from typing import Iterable, Mapping, Sequence
 
 from .cnf import CnfFormula, encode_gate, encode_into
 from .errors import AttackError, InterfaceError, SolverTimeout, StatError
@@ -320,6 +320,30 @@ def equivalence_check(
     return EquivalenceResult(False, ctrex)
 
 
+def key_sweep(
+    locked: LockedNetlist,
+    keys: Sequence[Sequence[int]],
+    words: Mapping[str, int],
+    width: int,
+    want: Mapping[str, int],
+) -> list[int]:
+    """Where ``locked`` under each of ``keys`` differs from ``want``.
+
+    ``words`` packs ``width`` data-input vectors one per bit, and ``want``
+    holds the oracle's output words for them. Key j's copy of the vectors
+    sits at bit ``j * width`` of one simulation. Returns, for each output
+    of ``want`` in order, the word whose bit ``j * width + x`` is set when
+    key j gives the wrong value on vector x.
+    """
+    spread = sum(1 << (j * width) for j in range(len(keys)))
+    packed = {pi: word * spread for pi, word in words.items()}
+    ones = (1 << width) - 1
+    for i, k in enumerate(locked.key_inputs):
+        packed[k] = sum(ones << (j * width) for j, key in enumerate(keys) if key[i])
+    got = simulate_words(locked.netlist, packed, len(keys) * width)
+    return [got[po] ^ word * spread for po, word in want.items()]
+
+
 @dataclass
 class CorruptionStats:
     corruption_rate: float
@@ -329,13 +353,7 @@ class CorruptionStats:
     seed: int
 
     def as_dict(self) -> dict:
-        return {
-            "corruption_rate": self.corruption_rate,
-            "mean_output_hamming": self.mean_output_hamming,
-            "wrong_keys": self.wrong_keys,
-            "inputs": self.inputs,
-            "seed": self.seed,
-        }
+        return asdict(self)
 
 
 def corruption_stats(
@@ -387,21 +405,12 @@ def corruption_stats(
         pi: sum(x[pi] << j for j, x in enumerate(vectors)) for pi in data_inputs
     }
     want = oracle.batch(words, inputs)
-    ones = (1 << inputs) - 1
     nets = len(netlist.primary_inputs) + len(netlist.gates)
     group = max(1, min(MAX_SIM_WIDTH, MAX_SIM_BITS // nets) // inputs)
     corrupted = hamming_total = 0
     for start in range(0, len(keys), group):
-        chunk = keys[start:start + group]
-        # key j's copy of every input word sits at bit j * inputs
-        spread = sum(1 << (j * inputs) for j in range(len(chunk)))
-        packed = {pi: word * spread for pi, word in words.items()}
-        for i, k in enumerate(key_inputs):
-            packed[k] = sum(ones << (j * inputs) for j, key in enumerate(chunk) if key[i])
-        got = simulate_words(netlist, packed, len(chunk) * inputs)
         differs = 0
-        for po, word in want.items():
-            diff = got[po] ^ word * spread
+        for diff in key_sweep(locked, keys[start:start + group], words, inputs, want):
             differs |= diff
             hamming_total += diff.bit_count()
         corrupted += differs.bit_count()

@@ -3,8 +3,9 @@
 Exit codes: 0 success, 1 operational failure (attack aborted, verify
 mismatch, LLM gave up), 2 usage or input errors, including an AttackError
 (a locked netlist with no key inputs, or one that no key makes consistent
-with the oracle, is bad input) and an InterfaceError (an oracle whose
-ports are not the locked netlist's). With --json-errors a
+with the oracle, is bad input), an InterfaceError (an oracle whose
+ports are not the locked netlist's) and any OSError (a path that cannot
+be read or written). With --json-errors a
 machine-readable error object goes to stderr instead of prose.
 """
 
@@ -65,8 +66,7 @@ _USAGE_ERRORS = (
     InterfaceError,
     AttackError,
     StatError,
-    FileNotFoundError,
-    IsADirectoryError,
+    OSError,
     ValueError,
 )
 _OPERATIONAL_ERRORS = (ValidationFailed, TruncationError, TransportError)

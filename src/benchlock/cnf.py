@@ -45,6 +45,8 @@ class CnfFormula:
 
 
 def encode_gate(cnf: CnfFormula, kind: GateKind, y: int, ins: list[int]) -> None:
+    """Clauses making ``y`` the gate's output; a BUFF never gets here, as
+    ``encode_into`` aliases it."""
     if kind is GateKind.AND or kind is GateKind.NAND:
         out = y if kind is GateKind.AND else -y
         for a in ins:
@@ -58,9 +60,6 @@ def encode_gate(cnf: CnfFormula, kind: GateKind, y: int, ins: list[int]) -> None
     elif kind is GateKind.NOT:
         cnf.add(y, ins[0])
         cnf.add(-y, -ins[0])
-    elif kind is GateKind.BUFF:
-        cnf.add(y, -ins[0])
-        cnf.add(-y, ins[0])
     elif kind is GateKind.XOR or kind is GateKind.XNOR:
         prev = ins[0]
         for a in ins[1:-1]:

@@ -12,10 +12,10 @@ import importlib.resources
 import http.client
 import json
 import urllib.request
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from typing import Callable, Protocol, Sequence
 
-from .attack import equivalence_check
+from .attack import equivalence_check, key_sweep
 from .bench import emit_bench, parse_bench
 from .errors import (
     BenchlockError,
@@ -31,7 +31,7 @@ from .locking import (
     lock,
     resolve_key_inputs,
 )
-from .netlist import Netlist, simulate_words
+from .netlist import Netlist
 from .verilog import parse_verilog_subset
 from .verify import functional_verify, structural_check
 
@@ -153,17 +153,9 @@ class LlmRunRecord:
     decoding_params: dict
 
     def as_dict(self) -> dict:
-        return {
-            "transcript": [
-                {"role": m.role, "content": m.content} for m in self.transcript
-            ],
-            "continuation_count": self.continuation_count,
-            "validation_outcomes": list(self.validation_outcomes),
-            "final_source": self.final_source,
-            "template_version": self.template_version,
-            "model": self.model,
-            "decoding_params": dict(self.decoding_params),
-        }
+        d = asdict(self)
+        return {**d, "transcript": list(d["transcript"]),
+                "validation_outcomes": list(d["validation_outcomes"])}
 
 
 def _template(name: str) -> str:
@@ -315,11 +307,11 @@ def _first_equivalent_key(
     """The first trial under which ``candidate`` matches ``original``.
 
     Trials are verified in order; each mismatch's counterexample is
-    replayed on every trial still live, in one kernel call with trial j
-    in bit j of the key-input words, and the trials it refutes are
-    dropped unverified. A concrete mismatching input proves a trial wrong,
-    so the key returned is the one an unpruned scan would return, and it
-    has passed a full ``functional_verify``.
+    replayed on every trial still live in one ``key_sweep`` of width 1
+    (trial j at bit j), and the trials it refutes are dropped unverified.
+    A concrete mismatching input proves a trial wrong, so the key returned
+    is the one an unpruned scan would return, and it has passed a full
+    ``functional_verify``.
     """
     live = list(trials)
     while live:
@@ -328,14 +320,9 @@ def _first_equivalent_key(
         if verdict.functional == "equivalent":
             return trial
         ctrex = verdict.counterexample
-        ones = (1 << len(live)) - 1
-        words = {pi: ones if bit else 0 for pi, bit in ctrex.items()}
-        for i, key_input in enumerate(candidate.key_inputs):
-            words[key_input] = sum(t[i] << j for j, t in enumerate(live))
-        values = simulate_words(candidate.netlist, words, len(live))
         refuted = 0
-        for po, bit in original.simulate(ctrex).items():
-            refuted |= values[po] ^ (ones if bit else 0)
+        for diff in key_sweep(candidate, live, ctrex, 1, original.simulate(ctrex)):
+            refuted |= diff
         live = [t for j, t in enumerate(live) if not refuted >> j & 1]
     return None
 

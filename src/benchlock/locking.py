@@ -19,7 +19,7 @@ the generator that produced them.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from itertools import compress
 from typing import Callable
 
@@ -156,17 +156,7 @@ class LockConfig:
         return cfg
 
     def as_dict(self) -> dict:
-        return {
-            "key_size": self.key_size,
-            "keygate_policy": self.keygate_policy,
-            "xor_fraction": self.xor_fraction,
-            "selection": self.selection,
-            "dummy_policy": self.dummy_policy,
-            "seed": self.seed,
-            "preset": self.preset,
-            "key_prefix": self.key_prefix,
-            "prng": PRNG_NAME,
-        }
+        return {**asdict(self), "prng": PRNG_NAME}
 
 
 def generate_key(key_size: int, seed: int) -> Key:

@@ -433,7 +433,7 @@ def truth_tables(
     if n > EXHAUSTIVE_PI_LIMIT:
         raise ValueError(
             f"{n} free inputs exceeds the exhaustive limit "
-            f"({EXHAUSTIVE_PI_LIMIT}); use the SAT mode instead"
+            f"({EXHAUSTIVE_PI_LIMIT}); use mode 'sat' instead"
         )
     width = 1 << n
     words = dict(zip(order, input_patterns(n)))

@@ -34,7 +34,7 @@ from __future__ import annotations
 import subprocess
 import tempfile
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from heapq import heapify, heappop, heappush
 from pathlib import Path
 from typing import Iterable, Sequence
@@ -57,18 +57,11 @@ class SolverStats:
     restarts: int = 0
 
     def merge(self, other: "SolverStats") -> None:
-        self.decisions += other.decisions
-        self.conflicts += other.conflicts
-        self.propagations += other.propagations
-        self.restarts += other.restarts
+        for f in fields(self):
+            setattr(self, f.name, getattr(self, f.name) + getattr(other, f.name))
 
     def as_dict(self) -> dict:
-        return {
-            "decisions": self.decisions,
-            "conflicts": self.conflicts,
-            "propagations": self.propagations,
-            "restarts": self.restarts,
-        }
+        return asdict(self)
 
 
 @dataclass
@@ -196,14 +189,10 @@ class Solver:
         """Search under assumption literals (DIMACS signs).
 
         The outcome's stats cover this run only. On sat the model is total
-        over the solver's variables.
+        over the solver's variables. The caller range-checks the literals
+        (``solve`` does).
         """
-        assume = []
-        for lit in assumptions:
-            code = 2 * lit if lit > 0 else 1 - 2 * lit
-            if not 1 < code <= 2 * self.n_vars + 1:
-                raise CnfError(f"assumption literal {lit} out of range")
-            assume.append(code)
+        assume = [2 * lit if lit > 0 else 1 - 2 * lit for lit in assumptions]
         stats = self.stats = SolverStats()
         if self.trail_lim:
             self._backtrack(0)

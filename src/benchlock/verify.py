@@ -9,11 +9,11 @@ input once the correct key is applied.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 from .attack import equivalence_check
 from .locking import Key, LockedNetlist, apply_key, resolve_key_inputs
-from .netlist import EXHAUSTIVE_PI_LIMIT, Netlist, truth_tables, vector_assignment
+from .netlist import Netlist, truth_tables, vector_assignment
 
 AUTO_EXHAUSTIVE_LIMIT = 16  # <= 65,536 vectors stays exhaustive in auto mode
 
@@ -28,14 +28,8 @@ class Verdict:
     skip_reason: str | None = None
 
     def as_dict(self) -> dict:
-        return {
-            "structural_ok": self.structural_ok,
-            "structural_diagnostics": list(self.structural_diagnostics),
-            "functional": self.functional,
-            "mode_used": self.mode_used,
-            "counterexample": self.counterexample,
-            "skip_reason": self.skip_reason,
-        }
+        d = asdict(self)
+        return {**d, "structural_diagnostics": list(d["structural_diagnostics"])}
 
 
 def structural_check(locked: LockedNetlist | Netlist, original: Netlist) -> list[str]:
@@ -80,7 +74,8 @@ def functional_verify(
 
     auto picks exhaustive enumeration up to AUTO_EXHAUSTIVE_LIMIT primary
     inputs and a SAT miter beyond; exhaustive can be forced up to
-    EXHAUSTIVE_PI_LIMIT inputs.
+    EXHAUSTIVE_PI_LIMIT inputs, beyond which ``truth_tables`` raises
+    ValueError.
     """
     if mode not in ("auto", "exhaustive", "sat"):
         raise ValueError(f"unknown verify mode: {mode!r}")
@@ -100,11 +95,6 @@ def functional_verify(
     n = len(original.primary_inputs)
     if mode == "auto":
         mode = "exhaustive" if n <= AUTO_EXHAUSTIVE_LIMIT else "sat"
-    if mode == "exhaustive" and n > EXHAUSTIVE_PI_LIMIT:
-        raise ValueError(
-            f"exhaustive mode refused for {n} inputs "
-            f"(limit {EXHAUSTIVE_PI_LIMIT}); use mode='sat'"
-        )
 
     applied = apply_key(locked, bits)
 

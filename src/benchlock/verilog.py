@@ -34,11 +34,12 @@ _INSTANCE_RE = re.compile(rf"(?:({_IDENT})\s*)?\(\s*([^()]*?)\s*\)")
 # listing leaves name,name,... Anything else is read step by step.
 _INSTANCE = rf"(?:{_IDENT}\s*)?\(\s*{_IDENT}(?:\s*,\s*{_IDENT})+\s*\)"
 _STATEMENT_RE = re.compile(
-    rf"\s*(?:({'|'.join(_PRIMITIVES)})\s+(?:{_IDENT}\s*)?"
+    rf"\s*(?:({'|'.join(_PRIMITIVES)})(?:\s+{_IDENT})?\s*"
     rf"\(\s*({_IDENT}(?:\s*,\s*{_IDENT})+)\s*\)((?:\s*,\s*{_INSTANCE})*)"
     rf"|(input|output|wire)\s+({_IDENT}(?:\s*,\s*{_IDENT})*))\s*"
 )
 _TERMINALS_RE = re.compile(r"\(([^()]*)\)")
+_HEAD_RE = re.compile(r"\(|[^\s(]+")
 # matches what \bmodule\b matches; the leading literal lets the scan skip
 # to each "module" instead of trying a word boundary at every character
 _MODULE_RE = re.compile(r"module(?<=\bmodule)\b")
@@ -102,7 +103,9 @@ def parse_verilog_subset(text: str, name: str | None = None) -> Netlist:
             continue
         lineno = begin + chunk.count("\n", 0, len(chunk) - len(body))
         stmt = " ".join(body.split())
-        head = stmt.split(None, 1)[0]
+        # the first word, ended by whitespace or by the '(' of a gate
+        # instance without a name, as in and(y, a, b)
+        head = _HEAD_RE.match(stmt).group()
 
         if head == "module":
             m = re.match(rf"module\s+({_IDENT})\s*(?:\((.*)\))?\s*$", stmt)

@@ -293,6 +293,27 @@ def test_missing_file_is_usage_error(tmp_path):
     assert rc == 2
 
 
+@pytest.mark.parametrize("case", ["not-a-directory", "permission"])
+def test_any_os_error_is_usage_error(tmp_path, c17_file, capsys, monkeypatch, case):
+    out = tmp_path / "o.bench"
+    if case == "not-a-directory":
+        out = c17_file / "o.bench"
+        want = "NotADirectoryError"
+    else:
+        # root ignores file modes, so the refusal is simulated
+        def refuse(self, *args, **kwargs):
+            raise PermissionError(13, "Permission denied", str(self))
+
+        monkeypatch.setattr(Path, "write_text", refuse)
+        want = "PermissionError"
+    rc = main(["lock", "--input", str(c17_file), "--key-size", "2",
+               "--output", str(out), "--key-out", str(tmp_path / "o.key"),
+               "--json-errors"])
+    assert rc == 2
+    err = json.loads(capsys.readouterr().err)["error"]
+    assert err["type"] == want and str(out) in err["message"]
+
+
 def test_bad_flag_exits_two(c17_file):
     with pytest.raises(SystemExit) as exc:
         main(["lock", "--input", str(c17_file), "--key-size", "4",

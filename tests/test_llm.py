@@ -538,6 +538,11 @@ def test_run_record_goldens(name):
             len(d["transcript"]), _digest(json.dumps(d, sort_keys=True)),
             _digest(out)) == RECORD_GOLDENS[name]
     assert d["decoding_params"] == {"temperature": 0}
+    # lists, not the record's tuples (a list never equals a tuple): the
+    # JSON digest cannot tell them apart
+    assert d["validation_outcomes"] == list(record.validation_outcomes)
+    assert d["transcript"] == [{"role": m.role, "content": m.content}
+                               for m in record.transcript]
     if name.startswith("obfuscate"):
         assert result.correct_key.to_string() == "10"
         # an accepted answer has no ledger, like a locked file read back

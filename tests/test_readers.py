@@ -125,6 +125,14 @@ READER_GOLDENS = [
      ('UnsupportedConstruct', 'line 4: assign with operators is not supported', 4, None)),
     ('v-assign-ok', 'verilog', 'module m(a, y);\ninput a;\noutput y;\nassign y = a;\nendmodule\n',
      ('ok', '# m\n# 1 inputs  1 outputs  1 gates\nINPUT(a)\nOUTPUT(y)\ny = BUFF(a)\n')),
+    ('v-no-space-before-paren', 'verilog', 'module m(a, b, y);\ninput a, b;\noutput y;\nwire w;\nand(w, a, b);\nnot(y, w);\nendmodule\n',
+     ('ok', '# m\n# 2 inputs  1 outputs  2 gates\nINPUT(a)\nINPUT(b)\nOUTPUT(y)\nw = AND(a, b)\ny = NOT(w)\n')),
+    ('v-no-space-bus-in-instance', 'verilog', 'module m(a, b, y);\ninput a, b;\noutput y;\nand(y, a[0], b);\nendmodule\n',
+     ('UnsupportedConstruct', 'line 4: buses are not supported in and instance', 4, None)),
+    ('v-no-space-multi-output-not', 'verilog', 'module m(a, b, y);\ninput a, b;\noutput y;\nnot(y, a, b);\nendmodule\n',
+     ('UnsupportedConstruct', 'line 4: multi-output not instances are not supported', 4, None)),
+    ('v-primitive-glued-to-name', 'verilog', 'module m(a, b, y);\ninput a, b;\noutput y;\nandg1(y, a, b);\nendmodule\n',
+     ('UnsupportedConstruct', "line 4: unsupported construct 'andg1'", 4, None)),
     ('v-always', 'verilog', 'module m(q, d, clk);\ninput d, clk;\noutput q;\nalways @(posedge clk) q <= d;\nendmodule\n',
      ('UnsupportedConstruct', "line 4: unsupported construct 'always'", 4, None)),
     ('v-unexpected-between', 'verilog', 'module m(a, b, y);\ninput a, b;\noutput y;\nand g(y, a, b) junk (y, a, b);\nendmodule\n',

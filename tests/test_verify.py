@@ -143,6 +143,14 @@ def test_exhaustive_refused_beyond_hard_limit():
         functional_verify(locked, big, key, mode="exhaustive")
 
 
+def test_exhaustive_refused_one_input_over_the_limit():
+    # 29 inputs: one more than truth_tables enumerates
+    original = random_netlist(29, 60, 1)
+    locked, key = lock(original, LockConfig(key_size=2, seed=1))
+    with pytest.raises(ValueError, match="29 .*'sat'"):
+        functional_verify(locked, original, key, mode="exhaustive")
+
+
 def test_exhaustive_and_sat_agree():
     for circuit in (c17(), parallel_cones(6)):
         locked, key = lock(
@@ -172,6 +180,14 @@ def test_structural_failure_skips_functional():
     assert not verdict.structural_ok
     assert verdict.functional == "skipped"
     assert verdict.skip_reason == "structural check failed"
+    # a list, not the verdict's tuple: JSON digests cannot tell them apart
+    assert verdict.as_dict() == {
+        "structural_ok": False,
+        "structural_diagnostics": ["key input reaches no primary output: 'keyinput0'",
+                                   "primary output missing: 'G23'"],
+        "functional": "skipped", "mode_used": None, "counterexample": None,
+        "skip_reason": "structural check failed",
+    }
 
 
 @pytest.mark.parametrize("policy", ["xor_only", "mixed"])
