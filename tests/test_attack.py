@@ -19,6 +19,7 @@ from benchlock.attack import (
     sat_attack,
 )
 from benchlock.circuits import c17, c432_scale, parallel_cones, random_netlist
+from benchlock.cnf import tseitin
 from benchlock.errors import AttackError, InterfaceError, LockError, StatError
 from benchlock.locking import (
     DUMMY_POLICIES,
@@ -291,6 +292,21 @@ def test_attack_pool_corruption_is_pinned():
                                  inputs=16, seed=j)
         digest.update(json.dumps(stats.as_dict(), sort_keys=True).encode())
     assert digest.hexdigest()[:16] == ATTACK_POOL_CORRUPTION_DIGEST
+
+
+# The same pool's formulas: sha256 over json.dumps([var_count, clauses]) of
+# tseitin(locked.netlist), then of build_miter(locked).cnf, for each job in
+# pool order, so a change to variable numbering, clause order or a literal
+# of either encoding shows here.
+ATTACK_POOL_FORMULA_DIGEST = "f5f69d8979ffabbc"
+
+
+def test_attack_pool_formulas_are_pinned():
+    digest = hashlib.sha256()
+    for _, _, locked, _ in _attack_pool():
+        for cnf in (tseitin(locked.netlist)[0], build_miter(locked).cnf):
+            digest.update(json.dumps([cnf.var_count, cnf.clauses]).encode())
+    assert digest.hexdigest()[:16] == ATTACK_POOL_FORMULA_DIGEST
 
 
 def test_the_dip_loop_builds_no_netlist(monkeypatch):
