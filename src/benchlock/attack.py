@@ -302,13 +302,15 @@ def equivalence_check(
 ) -> EquivalenceResult:
     """SAT-miter equivalence of two circuits with the same port names.
 
-    When every output pair shares one variable, the "some output differs"
-    clause is empty and the proof ends at load time. A sat miter yields a
-    counterexample, which is re-validated by simulation before being
-    reported.
+    When every output pair shares one variable, hashing alone proves the
+    circuits equivalent and no solver runs. Otherwise the solver decides
+    whether some output pair differs; a sat miter yields a counterexample,
+    which is re-validated by simulation before being reported.
     """
     _require_interface(a.primary_inputs, a.primary_outputs, b)
     cnf, map_a, _, diff = _miter(a, b, a.primary_inputs, sorted(set(a.primary_outputs)))
+    if not diff:
+        return EquivalenceResult(True)
     cnf.add_clause(diff)
 
     outcome = solve(cnf, timeout_ms=timeout_ms)

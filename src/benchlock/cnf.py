@@ -2,6 +2,8 @@
 model check.
 
 Literals are signed 1-based variable indices (DIMACS convention).
+The encoder appends clauses unchecked, its literals being in range by
+construction; the solver range-checks every literal it loads.
 Encoding hash-conses gates within one formula: a BUFF's output aliases its
 input's variable, and a gate whose kind and input variables match one
 already encoded into the formula reuses that gate's variable and adds no
@@ -45,47 +47,41 @@ class CnfFormula:
 
 
 def encode_gate(cnf: CnfFormula, kind: GateKind, y: int, ins: list[int]) -> None:
-    """Clauses making ``y`` the gate's output; a BUFF never gets here, as
-    ``encode_into`` aliases it."""
+    """Append the clauses making ``y`` the gate's output, unchecked (see
+    the module docstring); a BUFF never gets here, as ``encode_into``
+    aliases it."""
+    add = cnf.clauses.append
     if kind is GateKind.AND or kind is GateKind.NAND:
         out = y if kind is GateKind.AND else -y
         for a in ins:
-            cnf.add(-out, a)
-        cnf.add(out, *[-a for a in ins])
+            add([-out, a])
+        add([out, *[-a for a in ins]])
     elif kind is GateKind.OR or kind is GateKind.NOR:
         out = y if kind is GateKind.OR else -y
         for a in ins:
-            cnf.add(out, -a)
-        cnf.add(-out, *ins)
+            add([out, -a])
+        add([-out, *ins])
     elif kind is GateKind.NOT:
-        cnf.add(y, ins[0])
-        cnf.add(-y, -ins[0])
+        add([y, ins[0]])
+        add([-y, -ins[0]])
     elif kind is GateKind.XOR or kind is GateKind.XNOR:
-        prev = ins[0]
-        for a in ins[1:-1]:
-            aux = cnf.new_var()
-            _xor2(cnf, aux, prev, a)
-            prev = aux
-        last = ins[-1]
-        if kind is GateKind.XOR:
-            _xor2(cnf, y, prev, last)
-        else:
-            _xor2(cnf, -y, prev, last)
+        # a chain of 2-input XORs; all but the last output an auxiliary
+        prev, last = ins[0], len(ins) - 1
+        for i, a in enumerate(ins[1:], 1):
+            out = cnf.new_var() if i < last else (y if kind is GateKind.XOR else -y)
+            add([-out, prev, a])
+            add([-out, -prev, -a])
+            add([out, -prev, a])
+            add([out, prev, -a])
+            prev = out
     elif kind is GateKind.MUX:
         s, a, b = ins
-        cnf.add(-y, s, a)
-        cnf.add(-y, -s, b)
-        cnf.add(y, s, -a)
-        cnf.add(y, -s, -b)
+        add([-y, s, a])
+        add([-y, -s, b])
+        add([y, s, -a])
+        add([y, -s, -b])
     else:  # pragma: no cover
         raise AssertionError(kind)
-
-
-def _xor2(cnf: CnfFormula, y: int, a: int, b: int) -> None:
-    cnf.add(-y, a, b)
-    cnf.add(-y, -a, -b)
-    cnf.add(y, -a, b)
-    cnf.add(y, a, -b)
 
 
 def encode_into(
@@ -95,24 +91,32 @@ def encode_into(
 
     ``gates`` is in topological order, and ``inputs`` gives the variable
     of every net no gate drives (fresh primary inputs, or PI and key
-    variables tied across circuit copies). A BUFF aliases its input's
-    variable, and a gate identical in kind and input variables to one
-    already in ``cnf`` shares its variable, so a second copy adds only
-    the gates that read something the first does not. Returns the
+    variables tied across circuit copies); a variable of ``inputs`` out
+    of range raises CnfError before anything is added. A BUFF aliases its
+    input's variable, and a gate identical in kind and input variables to
+    one already in ``cnf`` shares its variable, so a second copy adds
+    only the gates that read something the first does not. Returns the
     net -> variable map of this copy, ``inputs`` included.
     """
+    top = cnf.var_count
+    for net, var in inputs.items():
+        if not 0 < abs(var) <= top:
+            raise CnfError(f"net {net!r}: variable {var} out of range (vars={top})")
     varmap: VarMap = dict(inputs)
-    for gate in gates:
-        ins = [varmap[i] for i in gate.inputs]
-        if gate.kind is GateKind.BUFF:
-            varmap[gate.output] = ins[0]
+    hashed = cnf._gates
+    buff = GateKind.BUFF
+    for output, kind, reads in gates:
+        ins = [varmap[i] for i in reads]
+        if kind is buff:
+            varmap[output] = ins[0]
             continue
-        key = (gate.kind, *ins)
-        y = cnf._gates.get(key)
+        # the kind's value, not the member: Enum.__hash__ runs in Python
+        key = (kind._value_, *ins)
+        y = hashed.get(key)
         if y is None:
-            y = cnf._gates[key] = cnf.new_var()
-            encode_gate(cnf, gate.kind, y, ins)
-        varmap[gate.output] = y
+            y = hashed[key] = cnf.new_var()
+            encode_gate(cnf, kind, y, ins)
+        varmap[output] = y
     return varmap
 
 

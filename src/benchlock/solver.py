@@ -47,6 +47,7 @@ _ACTIVITY_DECAY = 0.95
 _ACTIVITY_LIMIT = 1e100
 _DEADLINE_STRIDE = 16  # conflicts or decisions between deadline checks
 _NO_ENTRY = 1.0  # heap_key while a variable has no newest entry in the heap; keys are <= 0
+_VAL_TO_BIT = bytes.maketrans(b"\x02", b"\x00")  # vals entry (1 true, 2 false) -> bit
 
 
 @dataclass
@@ -199,8 +200,8 @@ class Solver:
         self._fill_heap()
         if not self.ok or self._search(assume) == "unsat":
             return SatOutcome("unsat", stats=stats)
-        vals = self.vals
-        model = {v: 1 if vals[2 * v] == 1 else 0 for v in range(1, self.n_vars + 1)}
+        truth = bytes(self.vals[2::2]).translate(_VAL_TO_BIT)  # vals[2v] -> bit
+        model = dict(zip(range(1, self.n_vars + 1), truth))
         return SatOutcome("sat", model=model, stats=stats)
 
     # -- core mechanics -----------------------------------------------------
@@ -294,13 +295,14 @@ class Solver:
             if heap_key[u] != _NO_ENTRY:
                 heap_key[u] *= scale
         self.var_inc *= scale
-        self.heap = [(key * scale, v) for key, v in self.heap]
+        self.heap[:] = [(key * scale, v) for key, v in self.heap]
         heapify(self.heap)  # rounding can tie keys that were ordered
 
     def _analyze(self, confl: list[int]) -> tuple[list[int], int]:
         """First-UIP conflict analysis: (learned clause codes, backtrack level)."""
         seen = self.seen
         level = self.level
+        activity, heap_key, heap = self.activity, self.heap_key, self.heap
         learnt: list[int] = []
         path = 0
         p = -1
@@ -314,7 +316,15 @@ class Solver:
                 v = q >> 1
                 if not seen[v] and level[v] > 0:
                     seen[v] = True
-                    self._bump(v)
+                    # the body of _bump, then of _push
+                    act = activity[v] = activity[v] + self.var_inc
+                    if act > _ACTIVITY_LIMIT:
+                        self._rescale()  # in place, heap included
+                        act = activity[v]
+                    key = -act
+                    if heap_key[v] != key:
+                        heap_key[v] = key
+                        heappush(heap, (key, v))
                     if level[v] >= cur_level:
                         path += 1
                     else:
@@ -345,9 +355,14 @@ class Solver:
         limit = self.trail_lim[target]
         trail = self.trail
         vals = self.vals
+        activity, heap_key, heap = self.activity, self.heap_key, self.heap
         for code in trail[limit:]:
             vals[code] = vals[code ^ 1] = 0
-            self._push(code >> 1)
+            v = code >> 1
+            key = -activity[v]  # the body of _push
+            if heap_key[v] != key:
+                heap_key[v] = key
+                heappush(heap, (key, v))
         del trail[limit:]
         del self.trail_lim[target:]
         self.qhead = limit
@@ -364,8 +379,12 @@ class Solver:
             for key, v in self.heap:
                 self.heap_key[v] = key
         else:
+            activity, heap_key, heap = self.activity, self.heap_key, self.heap
             for v in range(self.queued + 1, n + 1):
-                self._push(v)
+                key = -activity[v]  # the body of _push
+                if heap_key[v] != key:
+                    heap_key[v] = key
+                    heappush(heap, (key, v))
         self.queued = n
 
     def _decide(self) -> None:

@@ -144,10 +144,15 @@ def parse_verilog_subset(text: str, name: str | None = None) -> Netlist:
             matched_upto = 0
             instances = []
             for m in _INSTANCE_RE.finditer(rest):
-                between = rest[matched_upto : m.start()].strip().strip(",").strip()
-                if between:
+                # exactly one ',' between instances and none before the first
+                between = rest[matched_upto : m.start()].strip()
+                if between != ("," if instances else ""):
+                    junk = between.strip(",").strip()
                     raise UnsupportedConstruct(
-                        f"unexpected text {between!r} in gate instantiation", lineno
+                        f"unexpected text {junk!r} in gate instantiation" if junk
+                        else f"expected one ',' between {head} instances" if instances
+                        else f"unexpected ',' before the first {head} instance",
+                        lineno,
                     )
                 instances.append(m.group(2))
                 matched_upto = m.end()

@@ -368,6 +368,50 @@ def test_equivalence_counterexample_and_honesty():
     assert a.simulate(x) != b.simulate(x)
 
 
+def _count_solves(monkeypatch) -> list:
+    calls = []
+
+    def spy(*args, **kwargs):
+        calls.append(args)
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(attack, "solve", spy)
+    return calls
+
+
+def test_correct_key_is_proved_by_hashing_alone(monkeypatch):
+    # the right key leaves BUFFs where the key gates were, so every output
+    # pair of the miter shares one variable and no solver runs
+    big = c432_scale()
+    locked, key = lock(big, LockConfig(12, keygate_policy="xor_only", seed=2))
+    calls = _count_solves(monkeypatch)
+    assert equivalence_check(apply_key(locked, key), big).equivalent
+    assert calls == []
+
+
+def test_structurally_different_equivalent_pair_takes_one_solve(monkeypatch):
+    a = and_gate()
+    b = Netlist("n", ["a", "b"], ["y"], [
+        Gate("w", GateKind.NAND, ("a", "b")),
+        Gate("y", GateKind.NOT, ("w",)),
+    ])
+    calls = _count_solves(monkeypatch)
+    assert equivalence_check(a, b) == attack.EquivalenceResult(True)
+    assert len(calls) == 1
+
+
+def test_wrong_key_mismatch_replays(monkeypatch):
+    big = c432_scale()
+    locked, key = lock(big, LockConfig(12, keygate_policy="xor_only", seed=2))
+    wrong = Key(tuple(1 - bit for bit in key.bits))
+    applied = apply_key(locked, wrong)
+    calls = _count_solves(monkeypatch)
+    res = equivalence_check(applied, big)
+    assert not res.equivalent and len(calls) == 1
+    x = res.counterexample
+    assert applied.simulate(x) != big.simulate(x)
+
+
 def test_equivalence_interface_mismatch():
     a = and_gate()
     c = c17()

@@ -4,6 +4,7 @@ from benchlock.circuits import random_netlist
 from benchlock.cnf import (
     CnfFormula,
     emit_dimacs,
+    encode_into,
     model_satisfies,
     parse_dimacs,
     parse_dimacs_model,
@@ -79,6 +80,20 @@ def test_identical_gates_and_buff_chains_share_variables():
         vals = n.net_values(x)
         for net, var in varmap.items():
             assert outcome.model[var] == vals[net], (net, j)
+
+
+@pytest.mark.parametrize("bad", [0, 4, -4])
+def test_encode_into_refuses_an_input_variable_out_of_range(bad):
+    # var_count is 3; the bad variable is read only by the second gate, so
+    # a check made clause by clause would append the first gate's clauses
+    cnf = CnfFormula()
+    inputs = {"a": cnf.new_var(), "b": cnf.new_var(), "c": cnf.new_var()}
+    inputs["d"] = bad
+    cnf.clauses.append([1, 2, 3])
+    gates = [Gate("g", GateKind.AND, ("a", "b")), Gate("y", GateKind.OR, ("g", "d"))]
+    with pytest.raises(CnfError, match=f"variable {bad} out of range"):
+        encode_into(cnf, gates, inputs)
+    assert cnf.var_count == 3 and cnf.clauses == [[1, 2, 3]]
 
 
 def test_cnf_satisfiable_for_every_pi_assignment():

@@ -136,7 +136,7 @@ READER_GOLDENS = [
     ('v-always', 'verilog', 'module m(q, d, clk);\ninput d, clk;\noutput q;\nalways @(posedge clk) q <= d;\nendmodule\n',
      ('UnsupportedConstruct', "line 4: unsupported construct 'always'", 4, None)),
     ('v-unexpected-between', 'verilog', 'module m(a, b, y);\ninput a, b;\noutput y;\nand g(y, a, b) junk (y, a, b);\nendmodule\n',
-     ('StructuralError', "multi-driver: net 'y' has more than one driver", None, None)),
+     ('UnsupportedConstruct', "line 4: expected one ',' between and instances", 4, None)),
     ('v-unexpected-text', 'verilog', 'module m(a, b, y);\ninput a, b;\noutput y;\nand g(y, a, b) 1x(w, a, b);\nendmodule\n',
      ('UnsupportedConstruct', "line 4: unexpected text '1' in gate instantiation", 4, None)),
     ('v-nbsp-list', 'verilog', 'module m(a, b, y);\ninput a,\xa0b;\noutput y;\nand g(y,\xa0a, b);\nendmodule\n',

@@ -84,6 +84,21 @@ def test_instance_names_optional_and_lists_supported():
     }
 
 
+@pytest.mark.parametrize("stmt", [
+    "and g1(w, a, b) g2(y, w, a);",
+    "and g1(w, a, b),, g2(y, w, a);",
+    "and g1(w, a, b), , g2(y, w, a);",
+    "and , g1(y, a, b);",
+    "and ,g1(w, a, b), g2(y, w, a);",
+])
+def test_gate_instances_need_exactly_one_comma_between(stmt):
+    # gate-inst = prim , instance , { "," , instance } , ";"
+    text = f"module m(a, b, y);\ninput a, b;\noutput y;\n{stmt}\nendmodule\n"
+    with pytest.raises(UnsupportedConstruct, match="','") as exc:
+        parse_verilog_subset(text)
+    assert exc.value.line == 4
+
+
 def test_comments_stripped_with_line_numbers_kept():
     text = """// header
 module m(a, y); /* ports */
