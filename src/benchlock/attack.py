@@ -169,11 +169,11 @@ def _pin_dip(
         shared = dict(key_vars)
         for net in fixed:
             var = shared[net] = cnf.new_var()
-            cnf.add(var if const[net] else -var)
+            cnf.add_clause([var if const[net] else -var])
         copy = encode_into(cnf, gates, shared)
         for po, bit in response.items():
             if po not in const:
-                cnf.add(copy[po] if bit else -copy[po])
+                cnf.add_clause([copy[po] if bit else -copy[po]])
             elif const[po] != bit:
                 cnf.add_clause([])
 

@@ -20,6 +20,8 @@ from .errors import CnfError
 from .netlist import Gate, GateKind, Netlist
 
 VarMap = dict  # net name -> variable index, one circuit copy
+# The kinds by module-level name, for encode_gate's is-dispatch.
+_AND, _NAND, _OR, _NOR, _XOR, _XNOR, _NOT, _BUFF, _MUX = GateKind
 
 
 @dataclass
@@ -35,9 +37,6 @@ class CnfFormula:
         self.var_count += 1
         return self.var_count
 
-    def add(self, *lits: int) -> None:
-        self.add_clause(lits)
-
     def add_clause(self, lits: Iterable[int]) -> None:
         clause = list(lits)
         for lit in clause:
@@ -51,30 +50,30 @@ def encode_gate(cnf: CnfFormula, kind: GateKind, y: int, ins: list[int]) -> None
     the module docstring); a BUFF never gets here, as ``encode_into``
     aliases it."""
     add = cnf.clauses.append
-    if kind is GateKind.AND or kind is GateKind.NAND:
-        out = y if kind is GateKind.AND else -y
+    if kind is _AND or kind is _NAND:
+        out = y if kind is _AND else -y
         for a in ins:
             add([-out, a])
         add([out, *[-a for a in ins]])
-    elif kind is GateKind.OR or kind is GateKind.NOR:
-        out = y if kind is GateKind.OR else -y
+    elif kind is _OR or kind is _NOR:
+        out = y if kind is _OR else -y
         for a in ins:
             add([out, -a])
         add([-out, *ins])
-    elif kind is GateKind.NOT:
+    elif kind is _NOT:
         add([y, ins[0]])
         add([-y, -ins[0]])
-    elif kind is GateKind.XOR or kind is GateKind.XNOR:
+    elif kind is _XOR or kind is _XNOR:
         # a chain of 2-input XORs; all but the last output an auxiliary
         prev, last = ins[0], len(ins) - 1
         for i, a in enumerate(ins[1:], 1):
-            out = cnf.new_var() if i < last else (y if kind is GateKind.XOR else -y)
+            out = cnf.new_var() if i < last else (y if kind is _XOR else -y)
             add([-out, prev, a])
             add([-out, -prev, -a])
             add([out, -prev, a])
             add([out, prev, -a])
             prev = out
-    elif kind is GateKind.MUX:
+    elif kind is _MUX:
         s, a, b = ins
         add([-y, s, a])
         add([-y, -s, b])
@@ -104,10 +103,9 @@ def encode_into(
             raise CnfError(f"net {net!r}: variable {var} out of range (vars={top})")
     varmap: VarMap = dict(inputs)
     hashed = cnf._gates
-    buff = GateKind.BUFF
     for output, kind, reads in gates:
         ins = [varmap[i] for i in reads]
-        if kind is buff:
+        if kind is _BUFF:
             varmap[output] = ins[0]
             continue
         # the kind's value, not the member: Enum.__hash__ runs in Python

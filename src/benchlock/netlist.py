@@ -50,7 +50,8 @@ GATE_KINDS: dict[str, tuple[GateKind, int]] = {
     "BUF": (GateKind.BUFF, 1),
     "MUX": (GateKind.MUX, 3),
 }
-# The kinds by module-level name, for _eval_into's is-dispatch.
+# The kinds by module-level name, for is-dispatch in _eval_into and
+# _fold_constants.
 _AND, _NAND, _OR, _NOR, _XOR, _XNOR, _NOT, _BUFF, _MUX = GateKind
 # The input counts each kind takes, by kind value.
 _ARITY = {
@@ -306,12 +307,8 @@ class Netlist:
         ``assignment`` are ignored, which lets callers pass merged
         input+key dictionaries.
         """
-        values = self.net_values(assignment)
+        values = simulate_words(self, assignment, 1)
         return {po: values[po] for po in self.primary_outputs}
-
-    def net_values(self, assignment: Mapping[str, int]) -> dict[str, int]:
-        """Like simulate() but returns the value of every net."""
-        return simulate_words(self, assignment, 1)
 
     # -- structural analysis ----------------------------------------------------
 
@@ -388,7 +385,9 @@ def simulate_words(
     return _eval_into(values, netlist.topo_order(), ones)
 
 
-EXHAUSTIVE_PI_LIMIT = 28
+# Most bits the words of one truth table may hold together (512 MiB): 2**n
+# for each input and gate of the netlist, n being the enumerated inputs.
+EXHAUSTIVE_TABLE_BITS = 1 << 32
 
 
 def input_patterns(n_inputs: int) -> list[int]:
@@ -420,7 +419,8 @@ def truth_tables(
     ``input_order`` (default: the netlist's PI order). Inputs listed in
     ``extra`` are held at the given constant instead of enumerated.
     Refuses an ``input_order`` with a repeated name or a name that is not
-    a primary input, and more than EXHAUSTIVE_PI_LIMIT enumerated inputs.
+    a primary input, and a table of more than EXHAUSTIVE_TABLE_BITS bits:
+    2**n for each of the netlist's inputs and gates, n enumerated inputs.
     """
     extra = dict(extra or {})
     names = tuple(input_order or netlist.primary_inputs)
@@ -430,10 +430,11 @@ def truth_tables(
             raise ValueError(f"input_order {what} {pi!r}")
     order = [pi for pi in names if pi not in extra]
     n = len(order)
-    if n > EXHAUSTIVE_PI_LIMIT:
+    nets = len(netlist.primary_inputs) + len(netlist.gates)
+    if nets << n > EXHAUSTIVE_TABLE_BITS:
         raise ValueError(
-            f"{n} free inputs exceeds the exhaustive limit "
-            f"({EXHAUSTIVE_PI_LIMIT}); use mode 'sat' instead"
+            f"{n} free inputs over {nets} nets exceed the exhaustive table "
+            f"bound ({EXHAUSTIVE_TABLE_BITS} bits); use mode 'sat' instead"
         )
     width = 1 << n
     words = dict(zip(order, input_patterns(n)))
@@ -447,15 +448,6 @@ def vector_assignment(order: Iterable[str], j: int) -> dict[str, int]:
     return {pi: (j >> i) & 1 for i, pi in enumerate(order)}
 
 
-# (controlling input value, output inverted) of the AND/OR family
-_CONTROLLING = {
-    GateKind.AND: (0, 0),
-    GateKind.NAND: (0, 1),
-    GateKind.OR: (1, 0),
-    GateKind.NOR: (1, 1),
-}
-
-
 def _fold_constants(
     kind: GateKind, ins: list[str], vals: list[int | None]
 ) -> tuple[int | None, GateKind | None, list[str]]:
@@ -463,16 +455,22 @@ def _fold_constants(
     one not (so never a one-input gate; ``cofactor`` evaluates a gate whose
     inputs are all constant). Returns (constant, kind, inputs): either a
     constant output, or a simplified gate."""
-    if kind in _CONTROLLING:
-        control, flip = _CONTROLLING[kind]
-        if control in vals:
-            return control ^ flip, None, []
-        rest = [i for i, v in zip(ins, vals) if v is None]
-        if len(rest) == 1:
-            return None, (GateKind.NOT if flip else GateKind.BUFF), rest
-        return None, kind, rest
-    if kind in (GateKind.XOR, GateKind.XNOR):
-        parity = 1 if kind is GateKind.XNOR else 0
+    if kind is _MUX:  # (select, in0, in1)
+        s, a, b = vals
+        if s is not None:
+            pick = ins[2] if s else ins[1]
+            v = vals[2] if s else vals[1]
+            if v is not None:
+                return v, None, []
+            return None, _BUFF, [pick]
+        if a is not None and b is not None:
+            if a == b:
+                return a, None, []
+            # MUX(s, 0, 1) = s ; MUX(s, 1, 0) = NOT s
+            return None, (_BUFF if b == 1 else _NOT), [ins[0]]
+        return None, kind, ins
+    if kind is _XOR or kind is _XNOR:
+        parity = 1 if kind is _XNOR else 0
         rest = []
         for i, v in zip(ins, vals):
             if v is None:
@@ -480,22 +478,17 @@ def _fold_constants(
             else:
                 parity ^= v
         if len(rest) == 1:
-            return None, (GateKind.NOT if parity else GateKind.BUFF), rest
-        return None, (GateKind.XNOR if parity else GateKind.XOR), rest
-    # MUX(select, in0, in1)
-    s, a, b = vals
-    if s is not None:
-        pick = ins[2] if s else ins[1]
-        v = vals[2] if s else vals[1]
-        if v is not None:
-            return v, None, []
-        return None, GateKind.BUFF, [pick]
-    if a is not None and b is not None:
-        if a == b:
-            return a, None, []
-        # MUX(s, 0, 1) = s ; MUX(s, 1, 0) = NOT s
-        return None, (GateKind.BUFF if b == 1 else GateKind.NOT), [ins[0]]
-    return None, kind, list(ins)
+            return None, (_NOT if parity else _BUFF), rest
+        return None, (_XNOR if parity else _XOR), rest
+    # the AND/OR family: its controlling input value, and whether it inverts
+    control = 1 if kind is _OR or kind is _NOR else 0
+    flip = 1 if kind is _NAND or kind is _NOR else 0
+    if control in vals:
+        return control ^ flip, None, []
+    rest = [i for i, v in zip(ins, vals) if v is None]
+    if len(rest) == 1:
+        return None, (_NOT if flip else _BUFF), rest
+    return None, kind, rest
 
 
 def cofactor(

@@ -33,6 +33,9 @@ from dataclasses import dataclass
 from .bench import mux_as_and_or
 from .netlist import Gate, GateKind, Netlist
 
+# The kinds by module-level name, for is-dispatch per gate.
+_AND, _NAND, _OR, _NOR, _XOR, _XNOR, _NOT, _BUFF, _MUX = GateKind
+
 # Assigned to nets that no output depends on; large but finite so that
 # selection scores stay orderable.
 UNOBSERVABLE = 10**9
@@ -71,7 +74,7 @@ def _lowered_gates(netlist: Netlist) -> list[Gate]:
             mid = len(nets) // 2
             a, b = build(nets[:mid]), build(nets[mid:])
             name = aux()
-            out.append(Gate(name, GateKind.XOR, (a, b)))
+            out.append(Gate(name, _XOR, (a, b)))
             return name
 
         mid = len(inputs) // 2
@@ -80,9 +83,9 @@ def _lowered_gates(netlist: Netlist) -> list[Gate]:
 
     for gate in netlist.topo_order():
         kind = gate.kind
-        if kind in (GateKind.XOR, GateKind.XNOR) and len(gate.inputs) > 2:
+        if (kind is _XOR or kind is _XNOR) and len(gate.inputs) > 2:
             xor_tree(gate.inputs, gate.output, kind)
-        elif kind is GateKind.MUX:
+        elif kind is _MUX:
             out.extend(mux_as_and_or(gate, aux))
         else:
             out.append(gate)
@@ -102,22 +105,22 @@ def scoap(netlist: Netlist) -> ScoapMetrics:
         i0 = [cc0[i] for i in gate.inputs]
         i1 = [cc1[i] for i in gate.inputs]
         kind = gate.kind
-        if kind is GateKind.AND:
+        if kind is _AND:
             c1, c0 = sum(i1) + 1, min(i0) + 1
-        elif kind is GateKind.OR:
+        elif kind is _OR:
             c1, c0 = min(i1) + 1, sum(i0) + 1
-        elif kind is GateKind.NAND:
+        elif kind is _NAND:
             c1, c0 = min(i0) + 1, sum(i1) + 1
-        elif kind is GateKind.NOR:
+        elif kind is _NOR:
             c1, c0 = sum(i0) + 1, min(i1) + 1
-        elif kind is GateKind.NOT:
+        elif kind is _NOT:
             c1, c0 = i0[0] + 1, i1[0] + 1
-        elif kind is GateKind.BUFF:
+        elif kind is _BUFF:
             c1, c0 = i1[0] + 1, i0[0] + 1
-        elif kind is GateKind.XOR:
+        elif kind is _XOR:
             c1 = min(i0[0] + i1[1], i1[0] + i0[1]) + 1
             c0 = min(i0[0] + i0[1], i1[0] + i1[1]) + 1
-        elif kind is GateKind.XNOR:
+        elif kind is _XNOR:
             c0 = min(i0[0] + i1[1], i1[0] + i0[1]) + 1
             c1 = min(i0[0] + i0[1], i1[0] + i1[1]) + 1
         else:  # pragma: no cover - MUX lowered away
@@ -132,11 +135,11 @@ def scoap(netlist: Netlist) -> ScoapMetrics:
         if out_co >= UNOBSERVABLE:
             continue
         kind = gate.kind
-        if kind is GateKind.AND or kind is GateKind.NAND:
+        if kind is _AND or kind is _NAND:
             costs = [cc1[i] for i in gate.inputs]
-        elif kind is GateKind.OR or kind is GateKind.NOR:
+        elif kind is _OR or kind is _NOR:
             costs = [cc0[i] for i in gate.inputs]
-        elif kind is GateKind.XOR or kind is GateKind.XNOR:
+        elif kind is _XOR or kind is _XNOR:
             costs = [min(cc0[i], cc1[i]) for i in gate.inputs]
         else:  # NOT / BUFF: no side inputs
             costs = [0]

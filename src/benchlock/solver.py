@@ -269,21 +269,6 @@ class Solver:
             self.qhead = qhead
             self.stats.propagations += qhead - start
 
-    def _push(self, v: int) -> None:
-        """Give ``v`` a heap entry at its current activity unless its
-        newest entry, still in the heap, already has that key."""
-        key = -self.activity[v]
-        if self.heap_key[v] != key:
-            self.heap_key[v] = key
-            heappush(self.heap, (key, v))
-
-    def _bump(self, v: int) -> None:
-        act = self.activity[v] + self.var_inc
-        self.activity[v] = act
-        if act > _ACTIVITY_LIMIT:
-            self._rescale()
-        self._push(v)
-
     def _rescale(self) -> None:
         """Scale activities, their increment and every heap key alike, so
         entries pushed before the rescale keep their place among those
@@ -316,7 +301,8 @@ class Solver:
                 v = q >> 1
                 if not seen[v] and level[v] > 0:
                     seen[v] = True
-                    # the body of _bump, then of _push
+                    # bump v, then push it unless its newest entry
+                    # already has this key
                     act = activity[v] = activity[v] + self.var_inc
                     if act > _ACTIVITY_LIMIT:
                         self._rescale()  # in place, heap included
@@ -359,7 +345,7 @@ class Solver:
         for code in trail[limit:]:
             vals[code] = vals[code ^ 1] = 0
             v = code >> 1
-            key = -activity[v]  # the body of _push
+            key = -activity[v]  # push unless v's newest entry has this key
             if heap_key[v] != key:
                 heap_key[v] = key
                 heappush(heap, (key, v))
@@ -381,7 +367,7 @@ class Solver:
         else:
             activity, heap_key, heap = self.activity, self.heap_key, self.heap
             for v in range(self.queued + 1, n + 1):
-                key = -activity[v]  # the body of _push
+                key = -activity[v]  # push unless v's newest entry has this key
                 if heap_key[v] != key:
                     heap_key[v] = key
                     heappush(heap, (key, v))

@@ -73,9 +73,9 @@ def functional_verify(
     """Check that the locked design under ``key`` matches the original.
 
     auto picks exhaustive enumeration up to AUTO_EXHAUSTIVE_LIMIT primary
-    inputs and a SAT miter beyond; exhaustive can be forced up to
-    EXHAUSTIVE_PI_LIMIT inputs, beyond which ``truth_tables`` raises
-    ValueError.
+    inputs and a SAT miter beyond; exhaustive can be forced while a truth
+    table stays within EXHAUSTIVE_TABLE_BITS (2**inputs bits per net),
+    beyond which ``truth_tables`` raises ValueError.
     """
     if mode not in ("auto", "exhaustive", "sat"):
         raise ValueError(f"unknown verify mode: {mode!r}")

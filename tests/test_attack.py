@@ -89,9 +89,9 @@ def test_clause_count_grows_per_dip_constraint():
                   for pi in locked.netlist.primary_inputs}
         copy = encode_into(m.cnf, locked.netlist.topo_order(), inputs)
         for pi in m.pi_vars:
-            m.cnf.add(copy[pi])
+            m.cnf.add_clause([copy[pi]])
         for po in locked.netlist.primary_outputs:
-            m.cnf.add(copy[po])
+            m.cnf.add_clause([copy[po]])
     assert len(m.cnf.clauses) > before
 
 

@@ -11,7 +11,13 @@ from benchlock.cnf import (
     tseitin,
 )
 from benchlock.errors import CnfError
-from benchlock.netlist import Gate, GateKind, Netlist, vector_assignment
+from benchlock.netlist import (
+    Gate,
+    GateKind,
+    Netlist,
+    simulate_words,
+    vector_assignment,
+)
 from benchlock.solver import solve
 from structure import brute_force_status, has_empty_clause
 
@@ -50,7 +56,7 @@ def test_models_match_simulation(seed):
         ]
         outcome = solve(cnf, assumptions=assumptions)
         assert outcome.status == "sat"
-        vals = n.net_values(x)
+        vals = simulate_words(n, x, 1)
         for net, var in varmap.items():
             assert outcome.model[var] == vals[net], (net, j)
 
@@ -77,7 +83,7 @@ def test_identical_gates_and_buff_chains_share_variables():
         assumptions = [varmap[pi] if bit else -varmap[pi] for pi, bit in x.items()]
         outcome = solve(cnf, assumptions=assumptions)
         assert outcome.status == "sat"
-        vals = n.net_values(x)
+        vals = simulate_words(n, x, 1)
         for net, var in varmap.items():
             assert outcome.model[var] == vals[net], (net, j)
 
@@ -104,7 +110,7 @@ def test_cnf_satisfiable_for_every_pi_assignment():
 
 def test_emit_dimacs_single_clause():
     cnf = CnfFormula(var_count=1)
-    cnf.add(1)
+    cnf.add_clause([1])
     assert emit_dimacs(cnf) == "p cnf 1 1\n1 0\n"
 
 
@@ -135,8 +141,8 @@ def test_parse_model_lines():
 
 def test_model_satisfies():
     cnf = CnfFormula(var_count=2)
-    cnf.add(1, 2)
-    cnf.add(-1, 2)
+    cnf.add_clause([1, 2])
+    cnf.add_clause([-1, 2])
     assert model_satisfies(cnf, {1: 0, 2: 1})
     assert not model_satisfies(cnf, {1: 1, 2: 0})
 

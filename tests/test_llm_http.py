@@ -62,6 +62,8 @@ def endpoint():
     _CannedHandler.raw_body = None
     yield f"http://127.0.0.1:{server.server_port}/v1/chat/completions"
     server.shutdown()
+    thread.join()
+    server.server_close()
 
 
 def test_http_transport_round_trip(endpoint):

@@ -246,19 +246,31 @@ def test_search_that_loses_a_decision_variable_raises(monkeypatch):
 
 
 def test_activity_rescale_keeps_the_decision_order():
-    # a rescale scales the heap keys too, so an entry pushed before it does
-    # not outrank a more active variable bumped after it
+    # conflict analysis bumps 3 first, over the limit, so every activity
+    # and heap key is scaled by 1e-100; 2 and 1, bumped after the rescale,
+    # must outrank 3, and 4's entry, pushed before it, must not outrank any
     solver = Solver()
-    solver.grow(3)
+    solver.grow(4)
+    solver.add_clauses([[1, 2, 3], [1, 2, -3]])
+    solver.activity[1:] = [1e99, 3e99, 0.0, 2e99]
     solver._fill_heap()
-    solver.var_inc = 1e99
-    solver._bump(2)
+    for v in (1, 2):  # decide -1, then -2: 3 is implied, then a conflict
+        solver.trail_lim.append(len(solver.trail))
+        solver._enqueue(2 * v + 1, None)
+        confl = solver._propagate()
+    assert [code >> 1 for code in confl] == [3, 2, 1]
     solver.var_inc = 2e100
-    solver._bump(3)  # over the limit: everything is scaled by 1e-100
-    assert solver.activity[1:] == [0.0, 1e99 * 1e-100, 2e100 * 1e-100]
-    for _ in range(3):
+    solver._analyze(confl)
+    scale = 1e-100
+    inc = 2e100 * scale
+    assert solver.var_inc == inc
+    assert solver.activity[1:] == [
+        1e99 * scale + inc, 3e99 * scale + inc, inc, 2e99 * scale
+    ]
+    solver._backtrack(0)
+    for _ in range(4):
         solver._decide()
-    assert [code >> 1 for code in solver.trail] == [3, 2, 1]
+    assert [code >> 1 for code in solver.trail] == [2, 1, 3, 4]
 
 
 def test_reusable_solver_refuses_external_command():

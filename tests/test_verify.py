@@ -151,6 +151,21 @@ def test_exhaustive_refused_one_input_over_the_limit():
         functional_verify(locked, original, key, mode="exhaustive")
 
 
+def test_exhaustive_refuses_a_table_too_large_to_build(monkeypatch):
+    # 24 inputs pass a bound on the input count alone, but 2**24 bits for
+    # each of about 2,000 nets is some 3.4 GiB per table: refused before
+    # any simulation runs
+    original = random_netlist(24, 2000, 3)
+    locked, key = lock(original, LockConfig(key_size=2, seed=1))
+
+    def spy(*args):
+        raise AssertionError("simulate_words ran")
+
+    monkeypatch.setattr(benchlock.netlist, "simulate_words", spy)
+    with pytest.raises(ValueError, match="24 free inputs .*exhaustive.*'sat'"):
+        functional_verify(locked, original, key, mode="exhaustive")
+
+
 def test_exhaustive_and_sat_agree():
     for circuit in (c17(), parallel_cones(6)):
         locked, key = lock(

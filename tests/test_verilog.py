@@ -1,11 +1,14 @@
 import itertools
+import re
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from benchlock.bench import parse_bench
-from benchlock.errors import StructuralError, UnsupportedConstruct
+from benchlock import verilog
+from benchlock.errors import BenchlockError, StructuralError, UnsupportedConstruct
 from benchlock.netlist import Gate, GateKind, Netlist
 from benchlock.verilog import parse_verilog_subset
 from structure import structurally_equal
@@ -225,3 +228,46 @@ def test_reader_parses_or_refuses_and_never_drops_a_construct(module):
     got = parse_verilog_subset(text)
     assert got.name == want.name
     assert structurally_equal(got, want)
+
+
+_TOKEN_RE = re.compile(r"\w+|\s+|[^\w\s]")
+
+
+@st.composite
+def mutated_modules(draw):
+    """A verilog_modules() document with up to three token edits: drop or
+    double a word or a punctuation mark, glue two tokens by dropping the
+    whitespace between them, or add whitespace after a token."""
+    tokens = _TOKEN_RE.findall(draw(verilog_modules())[0])
+    for _ in range(draw(st.integers(0, 3))):
+        edit = draw(st.sampled_from(["drop", "double", "glue", "space"]))
+        at = [i for i, t in enumerate(tokens) if t.isspace() == (edit == "glue")]
+        if not at:
+            continue
+        i = draw(st.sampled_from(at))
+        if edit == "double":
+            tokens.insert(i, tokens[i])
+        elif edit == "space":
+            tokens.insert(i + 1, draw(st.sampled_from([" ", "\t", "\n", "  \n "])))
+        else:
+            del tokens[i]
+    return "".join(tokens)
+
+
+def _read(text):
+    try:
+        n = parse_verilog_subset(text)
+    except BenchlockError as exc:
+        return type(exc).__name__, str(exc)
+    return n.name, n.primary_inputs, n.primary_outputs, n.gates
+
+
+# The one-regex fast path reads a statement exactly as the step-by-step
+# path does: with the fast path never matching, every document gives the
+# same netlist, or the same error.
+@settings(derandomize=True, deadline=None, max_examples=200, database=None)
+@given(text=mutated_modules())
+def test_fast_and_step_by_step_paths_read_alike(text):
+    fast = _read(text)
+    with mock.patch.object(verilog, "_STATEMENT_RE", re.compile(r"(?!)")):
+        assert _read(text) == fast
