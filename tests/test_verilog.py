@@ -6,8 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from benchlock.bench import parse_bench
 from benchlock import verilog
+from benchlock.bench import parse_bench
 from benchlock.errors import BenchlockError, StructuralError, UnsupportedConstruct
 from benchlock.netlist import Gate, GateKind, Netlist
 from benchlock.verilog import parse_verilog_subset
