@@ -24,7 +24,7 @@ from itertools import compress
 from typing import Callable
 
 from .errors import DummyError, LockError, SelectionError
-from .netlist import Gate, GateKind, Netlist, cofactor, fresh_name, reach
+from .netlist import Gate, GateKind, Netlist, cofactor, fresh_name, heap_order, reach
 from .scoap import scoap
 
 PRNG_NAME = "mt19937"
@@ -271,9 +271,9 @@ class _Workbench:
     driving gate (None for an input), ``fanin`` the ids it reads and
     ``readers`` the ids of the gates reading it, once per input position.
     A splice renames in place, so ``names`` without the key inputs lists
-    the candidate dummies in ``snapshot().nets`` order, and a MUX dummy
-    walks only the target's cone, with ``reach`` on ``fanin`` and
-    ``readers``.
+    the candidate dummies in id order, and a MUX dummy walks only the
+    target's cone, with ``reach`` on ``fanin`` and ``readers``. The same
+    two tables give ``snapshot`` its topological gate order.
     """
 
     def __init__(self, netlist: Netlist, prefix: str):
@@ -297,7 +297,15 @@ class _Workbench:
                 self.readers[j].append(i)
 
     def snapshot(self) -> Netlist:
-        return Netlist(self.name, self.pis, self.pos, filter(None, self.gates))
+        """The netlist so far, its gates in the order the constructor's
+        Kahn pass would give them: ``heap_order`` on the id tables, then
+        any ids a loop held back, so the constructor reports the loop."""
+        gates = self.gates
+        order = heap_order(list(map(len, self.fanin)), self.readers)
+        if len(order) < len(gates):
+            order += sorted(set(range(len(gates))).difference(order))
+        ordered = filter(None, map(gates.__getitem__, order))
+        return Netlist(self.name, self.pis, self.pos, ordered)
 
     def _add(self, name: str, gate: Gate | None) -> int:
         """Give a new net the next id, wired to the existing nets the
@@ -389,9 +397,9 @@ def _dummy_net(
 
     Returns (dummy net, description for the ledger). The cone filter keeps
     the dummy outside tfi/tfo of the locked net so insertion can never
-    close a cycle. The candidates come in ``snapshot().nets`` order (the
-    original primary inputs, then gate outputs in gate order), so the
-    seeded picks do not depend on how the cone was found.
+    close a cycle. The candidates come in the workbench's id order (the
+    original nets in ``nets`` order, then the nets each earlier bit
+    added), so the seeded picks do not depend on how the cone was found.
     """
     if policy == "constant":
         bit = rng.getrandbits(1)

@@ -262,37 +262,22 @@ class Netlist:
     # -- topological order ----------------------------------------------------
 
     def _kahn(self) -> tuple[tuple[Gate, ...], tuple[Gate, ...]]:
-        """Deterministic Kahn layering; ties broken by original gate order.
-
-        Returns (ordered gates, gates stuck on a cycle).
+        """``heap_order`` on gate indices: a gate waits once for each
+        distinct gate-driven net it reads. Returns (ordered gates, gates
+        stuck on a cycle).
         """
-        pending = []
-        missing = [0] * len(self.gates)
+        gates, driver = self.gates, self._driver
+        missing = [0] * len(gates)
         waiting: dict[str, list[int]] = {}
-        placed = {n for n, d in self._driver.items() if d is None}
-        for gi, gate in enumerate(self.gates):
-            need = 0
-            for inp in set(gate.inputs):
-                if inp in placed or inp not in self._driver:
-                    continue
-                need += 1
-                waiting.setdefault(inp, []).append(gi)
-            missing[gi] = need
-            if need == 0:
-                heapq.heappush(pending, gi)
-        order: list[Gate] = []
-        done = [False] * len(self.gates)
-        while pending:
-            gi = heapq.heappop(pending)
-            done[gi] = True
-            gate = self.gates[gi]
-            order.append(gate)
-            for wi in waiting.get(gate.output, ()):
-                missing[wi] -= 1
-                if missing[wi] == 0:
-                    heapq.heappush(pending, wi)
-        leftover = tuple(g for gi, g in enumerate(self.gates) if not done[gi])
-        return tuple(order), leftover
+        for gi, (_, _, ins) in enumerate(gates):
+            for inp in set(ins):
+                if driver.get(inp) is not None:
+                    missing[gi] += 1
+                    waiting.setdefault(inp, []).append(gi)
+        order = heap_order(missing, [waiting.get(g.output, ()) for g in gates])
+        done = set(order)
+        leftover = tuple(g for gi, g in enumerate(gates) if gi not in done)
+        return tuple(map(gates.__getitem__, order)), leftover
 
     def topo_order(self) -> tuple[Gate, ...]:
         """Gates ordered so each appears after the drivers of its inputs."""
@@ -390,6 +375,13 @@ def simulate_words(
 EXHAUSTIVE_TABLE_BITS = 1 << 32
 
 
+def table_fits(netlist: Netlist, n: int) -> bool:
+    """Whether a truth table of ``netlist`` over n enumerated inputs stays
+    within EXHAUSTIVE_TABLE_BITS."""
+    nets = len(netlist.primary_inputs) + len(netlist.gates)
+    return nets << n <= EXHAUSTIVE_TABLE_BITS
+
+
 def input_patterns(n_inputs: int) -> list[int]:
     """Truth-table masks of inputs 0 .. n_inputs-1 over all 2**n_inputs
     vectors: bit j of mask i is bit i of the vector number j.
@@ -430,8 +422,8 @@ def truth_tables(
             raise ValueError(f"input_order {what} {pi!r}")
     order = [pi for pi in names if pi not in extra]
     n = len(order)
-    nets = len(netlist.primary_inputs) + len(netlist.gates)
-    if nets << n > EXHAUSTIVE_TABLE_BITS:
+    if not table_fits(netlist, n):
+        nets = len(netlist.primary_inputs) + len(netlist.gates)
         raise ValueError(
             f"{n} free inputs over {nets} nets exceed the exhaustive table "
             f"bound ({EXHAUSTIVE_TABLE_BITS} bits); use mode 'sat' instead"
@@ -520,6 +512,25 @@ def cofactor(
         else:
             const[gate.output] = value
     return gates, const
+
+
+def heap_order(missing: list[int], readers: Sequence[Iterable[int]]) -> list[int]:
+    """The one topological sort: Kahn's on ids, popping the smallest ready
+    id, so an id order that is already topological comes back unchanged.
+    ``missing[i]`` (used up) counts what id i waits for, ``readers[i]``
+    the ids waiting for i, once per count; ids on or behind a loop never
+    pop."""
+    ready = [i for i, m in enumerate(missing) if not m]  # sorted, so a heap
+    order: list[int] = []
+    pop, push, emit = heapq.heappop, heapq.heappush, order.append
+    while ready:
+        i = pop(ready)
+        emit(i)
+        for r in readers[i]:
+            missing[r] -= 1
+            if not missing[r]:
+                push(ready, r)
+    return order
 
 
 def reach(

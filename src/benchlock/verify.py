@@ -13,7 +13,7 @@ from dataclasses import asdict, dataclass
 
 from .attack import equivalence_check
 from .locking import Key, LockedNetlist, apply_key, resolve_key_inputs
-from .netlist import Netlist, truth_tables, vector_assignment
+from .netlist import Netlist, table_fits, truth_tables, vector_assignment
 
 AUTO_EXHAUSTIVE_LIMIT = 16  # <= 65,536 vectors stays exhaustive in auto mode
 
@@ -73,9 +73,10 @@ def functional_verify(
     """Check that the locked design under ``key`` matches the original.
 
     auto picks exhaustive enumeration up to AUTO_EXHAUSTIVE_LIMIT primary
-    inputs and a SAT miter beyond; exhaustive can be forced while a truth
-    table stays within EXHAUSTIVE_TABLE_BITS (2**inputs bits per net),
-    beyond which ``truth_tables`` raises ValueError.
+    inputs while both truth tables fit (``table_fits``), and a SAT miter
+    otherwise; exhaustive can be forced while a truth table stays within
+    EXHAUSTIVE_TABLE_BITS (2**inputs bits per net), beyond which
+    ``truth_tables`` raises ValueError.
     """
     if mode not in ("auto", "exhaustive", "sat"):
         raise ValueError(f"unknown verify mode: {mode!r}")
@@ -93,10 +94,10 @@ def functional_verify(
         )
 
     n = len(original.primary_inputs)
-    if mode == "auto":
-        mode = "exhaustive" if n <= AUTO_EXHAUSTIVE_LIMIT else "sat"
-
     applied = apply_key(locked, bits)
+    if mode == "auto":
+        fits = table_fits(applied, n) and table_fits(original, n)
+        mode = "exhaustive" if n <= AUTO_EXHAUSTIVE_LIMIT and fits else "sat"
 
     if mode == "exhaustive":
         order = original.primary_inputs

@@ -34,7 +34,7 @@ from benchlock.locking import (
     parse_key_file,
     select_nets,
 )
-from benchlock.netlist import Gate, GateKind, Netlist, truth_tables
+from benchlock.netlist import Gate, GateKind, Netlist, reach, truth_tables
 from benchlock.verify import structural_check
 from benchlock.verilog import parse_verilog_subset
 from structure import load_gates, structurally_equal, tfi, tfo
@@ -317,7 +317,8 @@ def test_mux_dummy_error_when_no_cone_escape():
 @contextlib.contextmanager
 def _pool_checked():
     """At every MUX dummy pick, check the workbench's pool against a
-    reference from ``tfi | tfo | {target}`` on its snapshot, and
+    reference from ``tfi | tfo | {target}`` on its snapshot, in the
+    workbench's own net order (the snapshot's is topological), and
     record (target, whether it is a primary input)."""
     picks = []
     pick = locking._dummy_net
@@ -326,7 +327,7 @@ def _pool_checked():
         snap = bench.snapshot()
         blocked = tfi(snap, target) | tfo(snap, target) | {target}
         blocked.update(set(snap.primary_inputs) - set(bench.original_pis))
-        assert bench.outside_cone(target) == [n for n in snap.nets if n not in blocked]
+        assert bench.outside_cone(target) == [n for n in bench.names if n not in blocked]
         picks.append((target, snap.is_primary_input(target)))
         return pick(bench, bit_index, target, policy, rng)
 
@@ -559,6 +560,68 @@ def test_every_key_input_of_an_engine_lock_reaches_an_output(
             continue  # too few path-disjoint nets, or no cone-safe dummy
         assert set(locked.key_inputs) <= _observable(locked.netlist), (keygate, dummy)
         assert structural_check(locked, original) == [], (keygate, dummy)
+
+
+@pytest.mark.parametrize("strategy", SELECTION_STRATEGIES)
+@settings(derandomize=True, deadline=None, max_examples=12, database=None)
+@given(n_inputs=st.integers(2, 10), n_gates=st.integers(3, 40),
+       seed=st.integers(0, 10**6), k=st.integers(1, 6))
+def test_snapshot_orders_gates_as_the_constructor_would(
+        strategy, n_inputs, n_gates, seed, k):
+    # the reference is the constructor's own Kahn pass over the workbench's
+    # gate list, which is out of order once a gate-driven net is locked
+    original = random_netlist(n_inputs, n_gates, seed)
+    k = min(k, len(eligible_nets(original)))
+    snapshot = locking._Workbench.snapshot
+    checked = []
+
+    def against_reference(bench):
+        snap = snapshot(bench)
+        gates = filter(None, bench.gates)
+        assert snap.gates == Netlist(bench.name, bench.pis, bench.pos, gates).topo_order()
+        checked.append(snap)
+        return snap
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(locking._Workbench, "snapshot", against_reference)
+        for keygate, dummy in itertools.product(KEYGATE_POLICIES, DUMMY_POLICIES):
+            cfg = LockConfig(k, keygate_policy=keygate, selection=strategy,
+                             dummy_policy=dummy, seed=seed)
+            try:
+                locked, _ = lock(original, cfg)
+            except (SelectionError, DummyError):
+                continue  # too few path-disjoint nets, or no cone-safe dummy
+            assert locked.netlist is checked[-1]
+            written = parse_bench(emit_bench(locked.netlist))
+            assert locked.netlist.gates == written.gates, (keygate, dummy)
+
+
+def test_a_loop_closed_while_locking_is_refused_as_a_cycle():
+    # a dummy taken from the target's own fan-out closes a loop through
+    # the MUX key gate; the snapshot must still hand every gate to the
+    # constructor, which refuses it as the old gate order would
+    def into_fanout(bench, net):
+        seen = reach((bench.ids[net],), bench.readers, bytearray(len(bench.names)))
+        return list(itertools.compress(bench.names, seen))
+
+    snapshot = locking._Workbench.snapshot
+    benches = []
+
+    def kept(bench):
+        benches.append(bench)
+        return snapshot(bench)
+
+    cfg = LockConfig(1, keygate_policy="mux_only", selection="fan_heavy")
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(locking._Workbench, "outside_cone", into_fanout)
+        patch.setattr(locking._Workbench, "snapshot", kept)
+        with pytest.raises(StructuralError) as exc:
+            lock(c17(), cfg)
+    bench, = benches
+    with pytest.raises(StructuralError) as old:
+        Netlist(bench.name, bench.pis, bench.pos, filter(None, bench.gates))
+    assert exc.value.diagnostics == old.value.diagnostics
+    assert exc.value.diagnostics[0].startswith("cycle: combinational loop")
 
 
 def test_select_nets_refuses_a_cycle():

@@ -16,7 +16,7 @@ from benchlock.locking import (
     insert_xor_keygates,
     lock,
 )
-from benchlock.netlist import Netlist
+from benchlock.netlist import Gate, GateKind, Netlist
 from benchlock.verify import functional_verify, structural_check
 
 
@@ -164,6 +164,25 @@ def test_exhaustive_refuses_a_table_too_large_to_build(monkeypatch):
     monkeypatch.setattr(benchlock.netlist, "simulate_words", spy)
     with pytest.raises(ValueError, match="24 free inputs .*exhaustive.*'sat'"):
         functional_verify(locked, original, key, mode="exhaustive")
+
+
+def test_auto_mode_picks_sat_when_the_table_would_not_fit(monkeypatch):
+    # 16 inputs are within the auto limit, but 2**16 bits for each of
+    # some 65.6k nets passes the table bound: auto mode goes to SAT
+    # instead of refusing, and builds no table
+    pis = [f"i{j}" for j in range(16)]
+    gates = [Gate("g0", GateKind.XOR, pis[:2])]
+    gates += [Gate(f"g{j}", GateKind.XOR, (f"g{j - 1}", pis[j % 16]))
+              for j in range(1, 65_600)]
+    original = Netlist("chain", pis, ["g65599"], gates)
+    locked, key = lock(original, LockConfig(key_size=2, seed=1))
+
+    def spy(*args):
+        raise AssertionError("simulate_words ran")
+
+    monkeypatch.setattr(benchlock.netlist, "simulate_words", spy)
+    verdict = functional_verify(locked, original, key)
+    assert (verdict.mode_used, verdict.functional) == ("sat", "equivalent")
 
 
 def test_exhaustive_and_sat_agree():

@@ -233,15 +233,29 @@ def test_reader_parses_or_refuses_and_never_drops_a_construct(module):
 _TOKEN_RE = re.compile(r"\w+|\s+|[^\w\s]")
 
 
+def _between_instances(tokens, i):
+    """Whether tokens[i] is the ',' between two instances of one gate
+    statement, or the ';' between two gate statements."""
+    if tokens[i] not in ",;" or tokens[i - 1] != ")":
+        return False
+    after = next((t for t in tokens[i + 1:] if not t.isspace()), "")
+    return tokens[i] == "," or after in _SUPPORTED_KINDS
+
+
 @st.composite
 def mutated_modules(draw):
     """A verilog_modules() document with up to three token edits: drop or
     double a word or a punctuation mark, glue two tokens by dropping the
-    whitespace between them, or add whitespace after a token."""
+    whitespace between them, add whitespace after a token, or run two
+    gate instances on by dropping the ',' or ';' between them."""
     tokens = _TOKEN_RE.findall(draw(verilog_modules())[0])
     for _ in range(draw(st.integers(0, 3))):
-        edit = draw(st.sampled_from(["drop", "double", "glue", "space"]))
-        at = [i for i, t in enumerate(tokens) if t.isspace() == (edit == "glue")]
+        edit = draw(st.sampled_from(["drop", "double", "glue", "space", "run on"]))
+        if edit == "run on":
+            at = [i for i in range(len(tokens)) if _between_instances(tokens, i)]
+            edit = "drop"
+        else:
+            at = [i for i, t in enumerate(tokens) if t.isspace() == (edit == "glue")]
         if not at:
             continue
         i = draw(st.sampled_from(at))
