@@ -382,6 +382,17 @@ def table_fits(netlist: Netlist, n: int) -> bool:
     return nets << n <= EXHAUSTIVE_TABLE_BITS
 
 
+def check_table_fits(netlist: Netlist, n: int) -> None:
+    """Refuse, with ValueError, a truth table that ``table_fits`` says
+    would not fit."""
+    if not table_fits(netlist, n):
+        nets = len(netlist.primary_inputs) + len(netlist.gates)
+        raise ValueError(
+            f"{n} free inputs over {nets} nets exceed the exhaustive table "
+            f"bound ({EXHAUSTIVE_TABLE_BITS} bits); use mode 'sat' instead"
+        )
+
+
 def input_patterns(n_inputs: int) -> list[int]:
     """Truth-table masks of inputs 0 .. n_inputs-1 over all 2**n_inputs
     vectors: bit j of mask i is bit i of the vector number j.
@@ -422,12 +433,7 @@ def truth_tables(
             raise ValueError(f"input_order {what} {pi!r}")
     order = [pi for pi in names if pi not in extra]
     n = len(order)
-    if not table_fits(netlist, n):
-        nets = len(netlist.primary_inputs) + len(netlist.gates)
-        raise ValueError(
-            f"{n} free inputs over {nets} nets exceed the exhaustive table "
-            f"bound ({EXHAUSTIVE_TABLE_BITS} bits); use mode 'sat' instead"
-        )
+    check_table_fits(netlist, n)
     width = 1 << n
     words = dict(zip(order, input_patterns(n)))
     for pi, bit in extra.items():
@@ -512,6 +518,44 @@ def cofactor(
         else:
             const[gate.output] = value
     return gates, const
+
+
+def _hash_merge(
+    netlists: Iterable[Netlist], inputs: Sequence[str]
+) -> tuple[list[GateKind | None], list[tuple[int, ...]], list[dict[str, int]]]:
+    """One structural hash of ``netlists`` over the shared primary
+    ``inputs``, input i being node i. Each netlist in turn is encoded in
+    topological order onto integer node ids: a BUFF aliases its input's
+    node, as ``cnf.encode_into`` aliases its variable, and a gate whose
+    kind and input nodes match an earlier gate's, of any of the netlists,
+    lands on that gate's node. Two nets on one node are equal by
+    construction. Returns (kinds, fanin, ids): per node its gate kind
+    (None for an input) and input nodes, each node after its inputs, and
+    per netlist the node of each of its nets.
+    """
+    kinds: list[GateKind | None] = [None] * len(inputs)
+    fanin: list[tuple[int, ...]] = [()] * len(inputs)
+    ids = dict(zip(inputs, range(len(inputs))))
+    nodes: dict[tuple, int] = {}
+    maps = []
+    for netlist in netlists:
+        node = dict(ids)
+        get = node.__getitem__
+        for out, kind, reads in netlist.topo_order():
+            if kind is _BUFF:
+                node[out] = node[reads[0]]
+                continue
+            ins = tuple(map(get, reads))
+            # the kind's value, not the member: Enum.__hash__ runs in Python
+            key = (kind._value_, ins)
+            i = nodes.get(key)
+            if i is None:
+                i = nodes[key] = len(kinds)
+                kinds.append(kind)
+                fanin.append(ins)
+            node[out] = i
+        maps.append(node)
+    return kinds, fanin, maps
 
 
 def heap_order(missing: list[int], readers: Sequence[Iterable[int]]) -> list[int]:

@@ -2,11 +2,21 @@
 fan-out of one net, the gates reading it, and structural equality of two
 netlists; the program's one cone walk (``benchlock.netlist.reach``) runs
 on net ids, and these cones are what it is checked against. On CNF: an
-exhaustive satisfiability check, independent of the CDCL solver."""
+exhaustive satisfiability check, independent of the CDCL solver. On
+verification: the exhaustive verdict from both circuits' full truth
+tables, which ``functional_verify`` is checked against."""
 
 from benchlock.cnf import CnfFormula
 from benchlock.errors import CnfError
-from benchlock.netlist import Gate, GateKind, Netlist, input_patterns
+from benchlock.netlist import (
+    Gate,
+    GateKind,
+    Netlist,
+    input_patterns,
+    truth_tables,
+    vector_assignment,
+)
+from benchlock.verify import Verdict
 
 
 def _walk(net: str, step) -> set[str]:
@@ -85,3 +95,21 @@ def brute_force_status(cnf: CnfFormula, max_vars: int = 24) -> str:
         if live == 0:
             return "unsat"
     return "sat"
+
+
+def exhaustive_verdict(applied: Netlist, original: Netlist) -> Verdict:
+    """The exhaustive verdict of ``applied`` (a key already applied)
+    against ``original``: both circuits' full truth tables over the
+    original's input order, scanned output by output in the original's
+    order; the counterexample is the first differing output's lowest
+    differing vector."""
+    order = original.primary_inputs
+    tab_a = truth_tables(applied, order)
+    tab_b = truth_tables(original, order)
+    for po in original.primary_outputs:
+        delta = tab_a[po] ^ tab_b[po]
+        if delta:
+            j = (delta & -delta).bit_length() - 1
+            ctrex = vector_assignment(order, j)
+            return Verdict(True, (), "mismatch", "exhaustive", counterexample=ctrex)
+    return Verdict(True, (), "equivalent", "exhaustive")

@@ -3,12 +3,18 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, reject, settings
+from hypothesis import strategies as st
 
 import benchlock
+import benchlock.verify
 from benchlock.attack import _miter
+from benchlock.bench import lower_mux_gates
 from benchlock.circuits import c17, c432_scale, parallel_cones, random_netlist
-from benchlock.errors import LockError
+from benchlock.errors import DummyError, LockError, SelectionError
 from benchlock.locking import (
+    DUMMY_POLICIES,
+    KEYGATE_POLICIES,
     Key,
     LockConfig,
     LockedNetlist,
@@ -16,8 +22,9 @@ from benchlock.locking import (
     insert_xor_keygates,
     lock,
 )
-from benchlock.netlist import Gate, GateKind, Netlist
+from benchlock.netlist import EXHAUSTIVE_TABLE_BITS, Gate, GateKind, Netlist
 from benchlock.verify import functional_verify, structural_check
+from structure import exhaustive_verdict
 
 
 def test_structural_ok_on_fresh_lock():
@@ -166,6 +173,27 @@ def test_exhaustive_refuses_a_table_too_large_to_build(monkeypatch):
         functional_verify(locked, original, key, mode="exhaustive")
 
 
+def test_exhaustive_refusal_names_the_applied_netlist_before_hashing(monkeypatch):
+    # a correct key that hashing alone would prove is still refused, with
+    # the net count of the key-applied netlist, and nothing is simulated
+    original = random_netlist(24, 2000, 3)
+    locked, key = lock(original, LockConfig(key_size=2, seed=1))
+    applied = apply_key(locked, key)
+    nets = len(applied.primary_inputs) + len(applied.gates)
+    assert nets != len(original.primary_inputs) + len(original.gates)
+
+    def spy(*args):
+        raise AssertionError("simulate_words ran")
+
+    monkeypatch.setattr(benchlock.netlist, "simulate_words", spy)
+    with pytest.raises(ValueError) as info:
+        functional_verify(locked, original, key, mode="exhaustive")
+    assert str(info.value) == (
+        f"24 free inputs over {nets} nets exceed the exhaustive table bound "
+        f"({EXHAUSTIVE_TABLE_BITS} bits); use mode 'sat' instead"
+    )
+
+
 def test_auto_mode_picks_sat_when_the_table_would_not_fit(monkeypatch):
     # 16 inputs are within the auto limit, but 2**16 bits for each of
     # some 65.6k nets passes the table bound: auto mode goes to SAT
@@ -244,3 +272,118 @@ def test_sat_verify_of_large_lock_needs_no_search(policy):
     assert verdict.functional == "mismatch"
     x = verdict.counterexample
     assert apply_key(locked, wrong).simulate(x) != original.simulate(x)
+
+
+@pytest.mark.parametrize("policy", ["xor_only", "mixed"])
+def test_exhaustive_correct_key_is_proved_by_hashing_alone(monkeypatch, policy):
+    # the correct key turns every key gate into a BUFF, so each output of
+    # the key-applied netlist hashes onto the original's: no table is built
+    original = random_netlist(16, 1200, 100)
+    locked, key = lock(original, LockConfig(key_size=10, keygate_policy=policy,
+                                            seed=3))
+
+    def spy(*args):
+        raise AssertionError("simulate_words ran")
+
+    monkeypatch.setattr(benchlock.netlist, "simulate_words", spy)
+    verdict = functional_verify(locked, original, key, mode="exhaustive")
+    assert (verdict.functional, verdict.mode_used) == ("equivalent", "exhaustive")
+
+
+def _flipped(key: Key, i: int) -> Key:
+    return Key(tuple(b ^ (j == i) for j, b in enumerate(key)))
+
+
+@settings(derandomize=True, deadline=None, max_examples=150, database=None)
+@given(n_inputs=st.integers(2, 9), n_gates=st.integers(4, 60),
+       seed=st.integers(0, 10**6), with_mux=st.booleans(),
+       policy=st.sampled_from(KEYGATE_POLICIES),
+       dummy=st.sampled_from(DUMMY_POLICIES), data=st.data())
+def test_exhaustive_verdicts_match_the_two_table_scan(
+    n_inputs, n_gates, seed, with_mux, policy, dummy, data
+):
+    # the same verdict, counterexample included, as both circuits' full
+    # truth tables: under the correct key, one-bit flips and a random key,
+    # and with MUX gates lowered in the locked or the original netlist
+    original = random_netlist(n_inputs, n_gates, seed, with_mux=with_mux)
+    size = data.draw(st.integers(1, 6), label="key size")
+    try:
+        locked, key = lock(original, LockConfig(size, keygate_policy=policy,
+                                                dummy_policy=dummy, seed=seed))
+    except (SelectionError, DummyError):
+        reject()  # too few path-disjoint nets, or no cone-safe dummy
+    keys = [key, *(_flipped(key, i) for i in range(size)),
+            Key(tuple(data.draw(st.lists(st.integers(0, 1), min_size=size,
+                                         max_size=size), label="key")))]
+    lowered = LockedNetlist(lower_mux_gates(locked.netlist), locked.key_inputs)
+    cases = [(locked, original), (lowered, original),
+             (locked, lower_mux_gates(original))]
+    for locked_case, original_case in cases:
+        for k in keys:
+            want = exhaustive_verdict(apply_key(locked_case, k), original_case)
+            got = functional_verify(locked_case, original_case, k, mode="exhaustive")
+            assert got == want
+
+
+def test_an_equal_first_difference_sends_the_scan_on(monkeypatch):
+    # y1 hashes apart from the original's but is the same function, and
+    # the wrong key flips y2: a second table finds y2's counterexample
+    original = Netlist("two", ["a", "b", "c"], ["y1", "y2"], [
+        Gate("y1", GateKind.AND, ("a", "b")),
+        Gate("y2", GateKind.OR, ("b", "c")),
+    ])
+    locked = LockedNetlist(Netlist("two", ["a", "b", "c", "keyinput0"],
+                                   ["y1", "y2"], [
+        Gate("t", GateKind.NAND, ("a", "b")),
+        Gate("y1", GateKind.NOT, ("t",)),
+        Gate("u", GateKind.OR, ("b", "c")),
+        Gate("y2", GateKind.XOR, ("u", "keyinput0")),
+    ]), ("keyinput0",))
+    calls = []
+    tables = benchlock.verify.truth_tables
+
+    def counted(netlist, order):
+        calls.append(netlist)
+        return tables(netlist, order)
+
+    monkeypatch.setattr(benchlock.verify, "truth_tables", counted)
+
+    verdict = functional_verify(locked, original, Key((1,)), mode="exhaustive")
+    assert verdict == exhaustive_verdict(apply_key(locked, Key((1,))), original)
+    assert verdict.counterexample == {"a": 0, "b": 0, "c": 0}
+    assert len(calls) == 2
+    calls.clear()
+    verdict = functional_verify(locked, original, Key((0,)), mode="exhaustive")
+    assert (verdict.functional, len(calls)) == ("equivalent", 1)
+
+
+@pytest.mark.parametrize("seed", [2, 5])
+def test_inputs_named_like_hashed_nodes_verify(seed):
+    # the inputs take the names n6 .. n11 that the cone netlist would give
+    # its first gates were its names not fresh against the inputs
+    base = random_netlist(6, 80, seed)
+    name = {f"i{j}": f"n{j + 6}" for j in range(6)}
+    original = Netlist("renamed", [name[p] for p in base.primary_inputs],
+                       base.primary_outputs,
+                       [Gate(g.output, g.kind, [name.get(i, i) for i in g.inputs])
+                        for g in base.gates])
+    locked, key = lock(original, LockConfig(key_size=4, seed=seed))
+    for k in (key, *(_flipped(key, i) for i in range(4))):
+        verdict = functional_verify(locked, original, k, mode="exhaustive")
+        assert verdict == exhaustive_verdict(apply_key(locked, k), original)
+    assert verdict.functional == "mismatch"
+
+
+def test_a_cone_of_both_circuits_past_the_bound_is_split(monkeypatch):
+    # the first differing output is equal after all, and the later ones'
+    # cones hold more nets than either circuit: with the bound lowered to
+    # the larger circuit's table, each circuit's side gets its own table
+    original = random_netlist(8, 200, 3)
+    locked, key = lock(original, LockConfig(key_size=6, seed=3))
+    wrong = _flipped(key, 4)
+    applied = apply_key(locked, wrong)
+    nets = max(len(c.primary_inputs) + len(c.gates) for c in (applied, original))
+    monkeypatch.setattr(benchlock.netlist, "EXHAUSTIVE_TABLE_BITS", nets << 8)
+    verdict = functional_verify(locked, original, wrong, mode="exhaustive")
+    assert verdict == exhaustive_verdict(applied, original)
+    assert verdict.functional == "mismatch"
