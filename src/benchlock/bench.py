@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from typing import Callable
 
 from .errors import BenchParseError, DialectError, UnsupportedGate
-from .netlist import GATE_KINDS, Gate, GateKind, Netlist
+from .netlist import GATE_KINDS, Gate, GateKind, Netlist, _new_gate
 
 _INPUT_RE = re.compile(r"^\s*(INPUT|OUTPUT)\s*\(\s*([A-Za-z0-9_]+)\s*\)\s*$", re.I)
 _GATE_RE = re.compile(
@@ -34,6 +34,10 @@ _CANONICAL_RE = re.compile(
     r"|(#.*)|(INPUT|OUTPUT)\(([A-Za-z0-9_]+)\)|(.*))$",
     re.M,
 )
+
+# Each gate kind by its upper-case .bench name (BUF included), for the
+# canonical rows that need no case folding.
+_KINDS = {name: kind for name, (kind, _) in GATE_KINDS.items()}
 
 # Common sequential kinds, rejected explicitly so the message is useful.
 _SEQUENTIAL = {"DFF", "SDFF", "DFFSR", "LATCH", "FF"}
@@ -61,14 +65,20 @@ def _syntax_error(line: str, lineno: int) -> BenchParseError:
 def parse_bench_document(text: str, name: str = "bench") -> BenchDocument:
     """Parse .bench text into a validated netlist, keeping leading comments.
 
-    One regex pass reads every line laid out as emit_bench writes it; any
-    other line is matched on its own."""
+    One regex pass splits the text into rows, one per line. A gate line
+    laid out as emit_bench writes it, with a kind named in upper case,
+    becomes its gate at once; every other line (comments, ports, free
+    layout, lower-case or unknown kinds, errors with their line and
+    column) is read further down the same loop."""
     comments: list[str] = []
     inputs: list[str] = []
     outputs: list[str] = []
     gates: list[Gate] = []
     rows = _CANONICAL_RE.findall("\n".join(text.splitlines()))
     for lineno, (out, kind, args, comment, port, net, raw) in enumerate(rows, 1):
+        if out and kind in _KINDS:
+            gates.append(_new_gate((out, _KINDS[kind], tuple(args.split(", ")))))
+            continue
         if raw:  # laid out otherwise than emit_bench writes it
             line = raw.strip()
             if not line or line[0] == "#":
@@ -84,19 +94,15 @@ def parse_bench_document(text: str, name: str = "bench") -> BenchDocument:
                 if m is None:
                     raise _syntax_error(raw, lineno)
                 out, kind, args = m.groups()
-                # names hold no whitespace, so dropping it all leaves name,name,...
-                names = "".join(args.split()).split(",")
-        elif out:
-            names = args.split(", ")
         if out:
-            entry = GATE_KINDS.get(kind) or GATE_KINDS.get(kind.upper())
+            entry = GATE_KINDS.get(kind.upper())
             if entry is None:
                 what = "sequential" if kind.upper() in _SEQUENTIAL else "unsupported"
                 line = text.splitlines()[lineno - 1]
-                raise UnsupportedGate(
-                    f"{what} gate kind '{kind}'", lineno, line.index(kind) + 1
-                )
-            gates.append(Gate(out, entry[0], names))
+                column = line.index(kind, line.index("=")) + 1
+                raise UnsupportedGate(f"{what} gate kind '{kind}'", lineno, column)
+            # names hold no whitespace, so dropping it all leaves name,name,...
+            gates.append(Gate(out, entry[0], "".join(args.split()).split(",")))
         elif port:
             (inputs if port.upper() == "INPUT" else outputs).append(net)
         elif comment and not (inputs or outputs or gates):

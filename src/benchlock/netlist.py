@@ -15,6 +15,7 @@ import sys
 from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
+from functools import partial
 from itertools import chain, compress, repeat
 from operator import itemgetter
 from typing import Container, Iterable, Mapping, NamedTuple, Sequence
@@ -75,6 +76,12 @@ class Gate(_GateFields):
 
     def __new__(cls, output: str, kind: GateKind, inputs: Iterable[str]):
         return tuple.__new__(cls, (output, kind, tuple(inputs)))
+
+
+# The tuple Gate(output, kind, inputs) builds, made with no Python-level
+# call: _new_gate((output, kind, inputs)), for readers that already hold
+# ``inputs`` as a tuple of str.
+_new_gate = partial(tuple.__new__, Gate)
 
 
 @dataclass(frozen=True)

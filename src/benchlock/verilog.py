@@ -14,7 +14,7 @@ from __future__ import annotations
 import re
 
 from .errors import UnsupportedConstruct
-from .netlist import GATE_KINDS, Gate, GateKind, Netlist
+from .netlist import GATE_KINDS, Gate, GateKind, Netlist, _new_gate
 
 # primitive name -> (kind, exact input count or 0)
 _PRIMITIVES = {
@@ -67,7 +67,13 @@ def _names(listing: str, lineno: int, what: str) -> list[str]:
 
 
 def parse_verilog_subset(text: str, name: str | None = None) -> Netlist:
-    """Parse a structural-primitive Verilog module into a netlist."""
+    """Parse a structural-primitive Verilog module into a netlist.
+
+    The comment-free text is read one ';'-ended statement at a time. A
+    statement _STATEMENT_RE matches is read at once: a declaration's names
+    are kept (a wire list is checked but not kept), and a single-instance
+    gate statement becomes its gate directly. Any other statement is read
+    step by step, and only then is its line number counted."""
     text = _strip_comments(text)
     if len(_MODULE_RE.findall(text)) > 1:
         raise UnsupportedConstruct("only a single module is supported")
@@ -80,28 +86,40 @@ def parse_verilog_subset(text: str, name: str | None = None) -> Netlist:
     declared = {"input": inputs, "output": outputs, "wire": []}
     gates: list[Gate] = []
 
-    line = 1
+    # offset is where the next chunk starts; lineno is the line number at
+    # offset `counted`, moved on only when a statement is read step by step
+    offset = counted = 0
+    lineno = 1
     for chunk in text.split(";"):
-        begin, line = line, line + chunk.count("\n")
+        start, offset = offset, offset + len(chunk) + 1
         m = _STATEMENT_RE.fullmatch(chunk)
         if m is not None:
             prim, first, more, decl, listing = m.groups()
             if decl is not None:
-                declared[decl] += "".join(listing.split()).split(",")
+                if decl != "wire":
+                    declared[decl] += "".join(listing.split()).split(",")
                 continue
             kind, arity = _PRIMITIVES[prim]
-            listings = [first, *_TERMINALS_RE.findall(more)] if more else [first]
-            instances = ["".join(terms.split()).split(",") for terms in listings]
-            # a one-input primitive takes two; the step-by-step reading words why
-            if arity != 1 or all(len(ports) == 2 for ports in instances):
-                gates += [Gate(ports[0], kind, ports[1:]) for ports in instances]
-                continue
+            if not more:
+                ports = tuple("".join(first.split()).split(","))
+                # a one-input primitive takes two; the step-by-step reading words why
+                if arity != 1 or len(ports) == 2:
+                    gates.append(_new_gate((ports[0], kind, ports[1:])))
+                    continue
+            else:
+                listings = [first, *_TERMINALS_RE.findall(more)]
+                instances = ["".join(terms.split()).split(",") for terms in listings]
+                if arity != 1 or all(len(ports) == 2 for ports in instances):
+                    gates += [Gate(ports[0], kind, ports[1:]) for ports in instances]
+                    continue
         # Step by step, on the statement with each whitespace run as one
         # space (str.split splits on exactly the characters \s matches).
         body = chunk.lstrip()
         if not body:
             continue
-        lineno = begin + chunk.count("\n", 0, len(chunk) - len(body))
+        at = start + len(chunk) - len(body)
+        lineno += text.count("\n", counted, at)
+        counted = at
         stmt = " ".join(body.split())
         # the first word, ended by whitespace or by the '(' of a gate
         # instance without a name, as in and(y, a, b)

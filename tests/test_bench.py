@@ -1,5 +1,8 @@
+from unittest import mock
+
 import pytest
 
+from benchlock import bench
 from benchlock.bench import (
     emit_bench,
     lower_mux_gates,
@@ -131,3 +134,21 @@ def test_locked_c17_emits_four_key_input_lines():
 def test_unknown_gate_kind_rejected():
     with pytest.raises(UnsupportedGate):
         parse_bench("INPUT(a)\nOUTPUT(y)\ny = FROB(a, a)")
+
+
+@pytest.mark.parametrize("locked", [False, True], ids=["plain", "locked"])
+def test_emitted_bench_is_read_without_the_per_line_match(locked):
+    # Every line emit_bench writes, of a benchmark-scale netlist or of its
+    # lock, must be read by the one regex pass, never matched on its own,
+    # and every gate built by _new_gate, not by the Gate constructor.
+    n = random_netlist(32, 2000, 11)
+    if locked:
+        n = lock(n, LockConfig(key_size=64, keygate_policy="mixed", seed=3))[0].netlist
+    text = emit_bench(n)
+    refuse = mock.Mock(match=mock.Mock(side_effect=AssertionError("per-line match")))
+    with mock.patch.object(bench, "_GATE_RE", refuse), \
+            mock.patch.object(bench, "_INPUT_RE", refuse), \
+            mock.patch.object(bench, "Gate", refuse.match):
+        got = parse_bench(text, n.name)
+    assert got.gates == parse_bench(text, n.name).gates
+    assert emit_bench(got) == text

@@ -3,12 +3,14 @@ the Verilog subset, and a golden table of reader outcomes on odd and
 malformed input (exception type, message, line and column)."""
 
 import re
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from benchlock import errors
+from benchlock import errors, verilog
+from benchlock.circuits import layered_netlist
 from benchlock.bench import emit_bench, lower_mux_gates, parse_bench, parse_bench_document
 from benchlock.netlist import Gate, GateKind, Netlist
 from benchlock.verilog import parse_verilog_subset
@@ -39,6 +41,10 @@ READER_GOLDENS = [
      ('UnsupportedGate', "line 3, col 5: sequential gate kind 'DFF'", 3, 5)),
     ('bench-sequential-lower', 'bench', 'INPUT(d)\nOUTPUT(q)\nq = latch(d)\n',
      ('UnsupportedGate', "line 3, col 5: sequential gate kind 'latch'", 3, 5)),
+    ('bench-kind-in-output-name', 'bench', 'INPUT(d)\nOUTPUT(DFF1)\nDFF1 = DFF(d)\n',
+     ('UnsupportedGate', "line 3, col 8: sequential gate kind 'DFF'", 3, 8)),
+    ('bench-kind-in-output-name-lower', 'bench', 'INPUT(d)\nOUTPUT(dff)\n  dff = dff(d)\n',
+     ('UnsupportedGate', "line 3, col 9: sequential gate kind 'dff'", 3, 9)),
     ('bench-missing-paren', 'bench', 'INPUT(a)\nINPUT(b)\nOUTPUT(y)\ny = NAND(a, b\n',
      ('BenchParseError', "line 4, col 14: expected ')'", 4, 14)),
     ('bench-missing-paren-trailing-space', 'bench', 'INPUT(a)\nINPUT(b)\nOUTPUT(y)\ny = NAND(a, b   \n',
@@ -307,6 +313,31 @@ def emit_verilog(netlist):
         lines.append(f"  {_PRIMITIVE[g.kind]} u{i} ({', '.join((g.output,) + g.inputs)});")
     lines.append("endmodule")
     return "\n".join(lines) + "\n"
+
+
+def test_benchmark_verilog_is_read_without_the_step_by_step_path():
+    # Only the module header and endmodule may reach the step-by-step
+    # path; every declaration and gate statement of a benchmark-shaped
+    # input must be read by the one-regex fast path, and every gate built
+    # by _new_gate, not by the Gate constructor.
+    n = layered_netlist(32, [200] * 4, 2, n_outputs=40, name="lay")
+    text = emit_verilog(n)
+    head_re = verilog._HEAD_RE
+
+    class ModuleHeadsOnly:
+        @staticmethod
+        def match(stmt):
+            m = head_re.match(stmt)
+            if m.group() not in ("module", "endmodule"):
+                raise AssertionError(f"read step by step: {stmt!r}")
+            return m
+
+    refuse = mock.Mock(side_effect=AssertionError("Gate constructor"))
+    with mock.patch.object(verilog, "_HEAD_RE", ModuleHeadsOnly), \
+            mock.patch.object(verilog, "Gate", refuse):
+        got = parse_verilog_subset(text)
+    assert got.gates == n.gates
+    assert emit_verilog(got) == text
 
 
 @settings(derandomize=True, deadline=None, max_examples=80, database=None)

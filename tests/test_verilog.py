@@ -285,3 +285,36 @@ def test_fast_and_step_by_step_paths_read_alike(text):
     fast = _read(text)
     with mock.patch.object(verilog, "_STATEMENT_RE", re.compile(r"(?!)")):
         assert _read(text) == fast
+
+
+@st.composite
+def late_step_by_step_statements(draw):
+    """(module text, the line of its one statement only the step-by-step
+    path reads). Before that statement come many fast-path gate
+    statements, some spanning several lines and one after a /* ... */
+    block whose text the reader strips."""
+    parts = ["module m (a, b, y);\ninput a, b;\noutput y;\n"]
+    n = draw(st.integers(4, 30))
+    commented = draw(st.integers(0, n - 1))
+    for j in range(n):
+        if j == commented:
+            parts.append(draw(st.sampled_from(
+                ["/* x */ ", "/* block\n comment */\n", "/*\n * a; b\n */", "// c;\n/* */"])))
+        gaps = draw(st.lists(st.sampled_from([" ", "\n", "\n  "]), min_size=4, max_size=4))
+        parts.append(f"and{gaps[0]}u{j}{gaps[1]}(g{j},{gaps[2]}a,{gaps[3]}b);\n")
+    parts.append(draw(st.sampled_from(["", " ", "\n", "\n\n  ", "\t\n "])))
+    before = "".join(parts)
+    statement = draw(st.sampled_from(["foo bar", "assign y = a & b"]))
+    text = before + statement + ";\nnot (y, a);\nendmodule\n"
+    return text, before.count("\n") + 1
+
+
+# The fast path counts no lines; a statement read step by step still
+# reports the line its first character is on, in the text as given.
+@settings(derandomize=True, deadline=None, max_examples=60, database=None)
+@given(case=late_step_by_step_statements())
+def test_step_by_step_statement_reports_its_line_after_fast_statements(case):
+    text, line = case
+    with pytest.raises(UnsupportedConstruct) as exc:
+        parse_verilog_subset(text)
+    assert exc.value.line == line
