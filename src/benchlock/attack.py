@@ -26,7 +26,7 @@ from .cnf import CnfFormula, encode_gate, encode_into
 from .errors import AttackError, InterfaceError, SolverTimeout, StatError
 from .locking import Key, LockedNetlist, apply_key, resolve_key_inputs
 from .netlist import GateKind, Netlist, cofactor, simulate_words
-from .solver import SatOutcome, Solver, SolverStats, solve
+from .solver import Solver, SolverStats, solve
 
 DEFAULT_TIMEOUT_MS = 300_000
 # corruption_stats packs its sample pairs into simulations at most
@@ -188,14 +188,19 @@ def sat_attack(
 
     On key_recovered the returned key is guaranteed functionally correct:
     apply_key(locked, key) is checked equivalent to the oracle netlist
-    before returning. The time budget is checked after the miter is
-    built, before each solver call and before each DIP is encoded, and
-    inside the solver. Hitting it or the iteration cap returns an aborted
-    result carrying the DIP trace so far. An oracle whose ports are not
-    the locked netlist's data inputs and outputs raises InterfaceError
+    before returning. The time budget is checked before each solver call
+    (DIP searches and the key extraction), after each oracle answer, and
+    inside the solver; the final equivalence check gets whatever budget
+    is left, so a key that hashing alone proves is returned even when the
+    budget ran out. Hitting the budget or the iteration cap returns an
+    aborted result with no key that keeps the DIP trace so far. A negative
+    iteration cap raises ValueError, and an oracle whose ports are not the
+    locked netlist's data inputs and outputs raises InterfaceError, both
     before the first query.
     """
     t0 = time.monotonic()
+    if iteration_cap is not None and iteration_cap < 0:
+        raise ValueError(f"iteration_cap must be >= 0, got {iteration_cap}")
     locked = resolve_key_inputs(locked)
     netlist = locked.netlist
     _require_interface(locked.data_inputs, netlist.primary_outputs, oracle.netlist)
@@ -203,76 +208,65 @@ def sat_attack(
     if iteration_cap is None:
         iteration_cap = 1 << min(len(miter.key_inputs), 20)
 
+    def remaining(check: bool = True) -> float | None:
+        """Milliseconds left of the budget, None without one; SolverTimeout
+        once it is spent, unless ``check`` is off."""
+        if timeout_ms is None:
+            return None
+        left = timeout_ms - (time.monotonic() - t0) * 1000.0
+        if check and left <= 0:
+            raise SolverTimeout("attack exceeded its time budget")
+        return left
+
     stats = SolverStats()
     dips: list[tuple[dict[str, int], dict[str, int]]] = []
     cnf = miter.cnf
     solver = Solver()
-
-    def remaining() -> float | None:
-        if timeout_ms is None:
-            return None
-        return timeout_ms - (time.monotonic() - t0) * 1000.0
-
-    def out_of_time() -> bool:
-        budget = remaining()
-        return budget is not None and budget <= 0
-
-    def result(status: str, key: Key | None) -> AttackResult:
-        return AttackResult(
-            status=status,
-            recovered_key=key,
-            iterations=len(dips),
-            dips=dips,
-            elapsed_ms=(time.monotonic() - t0) * 1000.0,
-            solver_stats=stats,
-            oracle_queries=oracle.queries,
-        )
-
-    def search(activator: int) -> SatOutcome:
-        if out_of_time():
-            raise SolverTimeout("attack exceeded its time budget")
-        outcome = solve(cnf, [activator], timeout_ms=remaining(), solver=solver)
-        stats.merge(outcome.stats)
-        return outcome
-
+    status, key = "aborted_iteration_cap", None
     try:
         while True:
-            outcome = search(miter.activator)
-            if outcome.status == "unsat":
+            outcome = solve(cnf, [miter.activator], timeout_ms=remaining(),
+                            solver=solver)
+            stats.merge(outcome.stats)
+            if outcome.status == "unsat" or len(dips) >= iteration_cap:
                 break
-            if len(dips) >= iteration_cap:
-                return result("aborted_iteration_cap", None)
-            model = outcome.model
-            dip = {pi: model[v] for pi, v in miter.pi_vars.items()}
+            dip = {pi: outcome.model[v] for pi, v in miter.pi_vars.items()}
             response = oracle(dip)
             dips.append((dip, response))
-            if out_of_time():
-                return result("aborted_timeout", None)
+            remaining()  # the oracle's answer counts against the budget
             _pin_dip(cnf, netlist, dip, response,
                      (miter.key_vars_a, miter.key_vars_b))
-        final = search(-miter.activator)
+        if outcome.status == "unsat":
+            final = solve(cnf, [-miter.activator], timeout_ms=remaining(),
+                          solver=solver)
+            stats.merge(final.stats)
+            if final.status != "sat":
+                raise AttackError(
+                    "no key satisfies the accumulated I/O constraints; "
+                    "the locked netlist and oracle are inconsistent"
+                )
+            key = Key(
+                tuple(final.model[miter.key_vars_a[k]] for k in miter.key_inputs)
+            )
+            unlocked = apply_key(locked, key)
+            if not equivalence_check(unlocked, oracle.netlist,
+                                     timeout_ms=remaining(check=False)).equivalent:
+                raise AttackError(
+                    "recovered key failed the equivalence check against the "
+                    "oracle; the locked netlist and oracle are inconsistent"
+                )
+            status = "key_recovered"
     except SolverTimeout:
-        return result("aborted_timeout", None)
-    if final.status != "sat":
-        raise AttackError(
-            "no key satisfies the accumulated I/O constraints; "
-            "the locked netlist and oracle are inconsistent"
-        )
-    key = Key(
-        tuple(final.model[miter.key_vars_a[k]] for k in miter.key_inputs)
+        status, key = "aborted_timeout", None
+    return AttackResult(
+        status=status,
+        recovered_key=key,
+        iterations=len(dips),
+        dips=dips,
+        elapsed_ms=(time.monotonic() - t0) * 1000.0,
+        solver_stats=stats,
+        oracle_queries=oracle.queries,
     )
-
-    unlocked = apply_key(locked, key)
-    try:
-        check = equivalence_check(unlocked, oracle.netlist, timeout_ms=remaining())
-    except SolverTimeout:
-        return result("aborted_timeout", None)
-    if not check.equivalent:
-        raise AttackError(
-            "recovered key failed the equivalence check against the oracle; "
-            "the locked netlist and oracle are inconsistent"
-        )
-    return result("key_recovered", key)
 
 
 def _require_interface(
@@ -400,12 +394,10 @@ def corruption_stats(
         keys.append(cand)
 
     data_inputs = locked.data_inputs
-    vectors = [
-        {pi: rng.getrandbits(1) for pi in data_inputs} for _ in range(inputs)
-    ]
-    words = {
-        pi: sum(x[pi] << j for j, x in enumerate(vectors)) for pi in data_inputs
-    }
+    words = dict.fromkeys(data_inputs, 0)
+    for j in range(inputs):
+        for pi in data_inputs:
+            words[pi] |= rng.getrandbits(1) << j
     want = oracle.batch(words, inputs)
     nets = len(netlist.primary_inputs) + len(netlist.gates)
     group = max(1, min(MAX_SIM_WIDTH, MAX_SIM_BITS // nets) // inputs)

@@ -166,7 +166,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--timeout-ms", type=float, default=DEFAULT_TIMEOUT_MS,
                    help="attack time budget (default: 300000)")
     p.add_argument("--iteration-cap", type=int, default=None,
-                   help="DIP cap (default: 2^min(k,20))")
+                   help="DIP cap, >= 0 (default: 2^min(k,20))")
     p.add_argument("--report", default=None, help="write a JSON report here")
 
     p = add("verify", "check a locked file against the original under a key")
@@ -192,7 +192,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--model", default="", help="model identifier")
     p.add_argument("--fallback", choices=("on", "off"), default="on",
                    help="deterministic fallback after failed retries")
-    p.add_argument("--retries", type=int, default=2, help="validation retries")
+    p.add_argument("--retries", type=int, default=2, help="validation retries, >= 0")
     p.add_argument("--output", default=None, help="locked .bench output")
     p.add_argument("--key-out", default=None, help="correct-key output file")
     p.add_argument("--report", default=None, help="write a JSON report here")

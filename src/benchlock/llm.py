@@ -345,8 +345,11 @@ def _run_validated(
     the result is ``fallback()``, or the error propagates if there is no
     fallback. A fallback record keeps the transcript and continuation
     count of the exchanges made before the run gave up, the partial one
-    of a truncated or failed request included.
+    of a truncated or failed request included. Negative
+    ``validation_retries`` raise ValueError before any request.
     """
+    if validation_retries < 0:
+        raise ValueError(f"validation_retries must be >= 0, got {validation_retries}")
     params = {"temperature": 0, **(params or {})}
     outcomes: list[str] = []
     history = transcript

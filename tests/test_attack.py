@@ -184,6 +184,57 @@ def test_attack_iteration_cap_aborts():
     assert result.recovered_key is None
 
 
+def test_an_iteration_capped_attack_keeps_the_first_dips():
+    big = c432_scale()
+    locked, _ = lock(big, LockConfig(key_size=16, keygate_policy="mixed", seed=5))
+    full = sat_attack(locked, Oracle(big))
+    capped = sat_attack(locked, Oracle(big), iteration_cap=2)
+    assert full.iterations > 2
+    assert capped.status == "aborted_iteration_cap"
+    assert capped.recovered_key is None
+    assert capped.iterations == 2 and capped.dips == full.dips[:2]
+
+
+def test_an_attack_timed_out_by_the_oracle_keeps_its_dip():
+    class SlowOracle(Oracle):
+        def __call__(self, assignment):
+            if self.queries == 0:
+                time.sleep(0.3)
+            return super().__call__(assignment)
+
+    c = c17()
+    locked, _ = lock(c, LockConfig(key_size=4, seed=42))
+    result = sat_attack(locked, SlowOracle(c), timeout_ms=200)
+    assert result.status == "aborted_timeout"
+    assert result.recovered_key is None
+    assert result.iterations == 1 and len(result.dips) == 1
+    assert result.oracle_queries == 1
+
+
+def test_a_key_proved_by_hashing_survives_a_spent_budget(monkeypatch):
+    # the final equivalence check gets the budget left, however little: a
+    # correct key needs no solver there, so it is still returned
+    def slow_apply_key(*args):
+        time.sleep(0.3)
+        return apply_key(*args)
+
+    c = c17()
+    locked, key = lock(c, LockConfig(key_size=4, seed=42))
+    monkeypatch.setattr(attack, "apply_key", slow_apply_key)
+    result = sat_attack(locked, Oracle(c), timeout_ms=200)
+    assert result.elapsed_ms > 200
+    assert result.status == "key_recovered" and result.recovered_key == key
+
+
+def test_attack_refuses_a_negative_iteration_cap(monkeypatch):
+    c = c17()
+    locked, _ = lock(c, LockConfig(key_size=4, seed=42))
+    monkeypatch.setattr(attack, "build_miter",
+                        lambda _: pytest.fail("the miter was built"))
+    with pytest.raises(ValueError, match="iteration_cap"):
+        sat_attack(locked, Oracle(c), iteration_cap=-3)
+
+
 def test_attack_timeout_aborts():
     c = parallel_cones(8)
     locked, _ = lock(c, LockConfig(key_size=8, keygate_policy="mixed",

@@ -82,6 +82,19 @@ def test_attack_on_unlocked_is_usage_error(c17_file, capsys):
     assert "no key inputs" in err["error"]["message"]
 
 
+def test_attack_negative_iteration_cap_is_usage_error(tmp_path, c17_file, capsys):
+    locked = tmp_path / "locked.bench"
+    main(["lock", "--input", str(c17_file), "--key-size", "4", "--seed", "42",
+          "--output", str(locked), "--key-out", str(tmp_path / "c17.key")])
+    capsys.readouterr()
+    rc = main(["attack", "--locked", str(locked), "--oracle", str(c17_file),
+               "--iteration-cap", "-3", "--json-errors"])
+    assert rc == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"]["type"] == "ValueError"
+    assert "iteration_cap" in err["error"]["message"]
+
+
 def test_attack_writes_schema_valid_report(tmp_path, c17_file):
     locked = tmp_path / "locked.bench"
     keyfile = tmp_path / "c17.key"

@@ -246,6 +246,17 @@ def test_obfuscate_fallback_byte_identical_to_engine():
     assert got.correct_key == key
 
 
+@pytest.mark.parametrize("run", [
+    lambda mock: llm_convert(mock, NAND_VERILOG, validation_retries=-1),
+    lambda mock: llm_obfuscate(mock, *locked_fixture()[:2], validation_retries=-1),
+], ids=["convert", "obfuscate"])
+def test_negative_validation_retries_are_refused_before_any_request(run):
+    mock = MockTransport([NAND_BENCH])
+    with pytest.raises(ValueError, match="validation_retries"):
+        run(mock)
+    assert mock.calls == []
+
+
 def test_obfuscate_wide_key_requires_declaration():
     c = c17()
     cfg = LockConfig(key_size=9, keygate_policy="xor_only", seed=2)

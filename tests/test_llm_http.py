@@ -159,3 +159,15 @@ def test_llm_lock_cli_fallback_when_endpoint_garbage(endpoint, tmp_path):
     assert rc == 0
     locked, _ = lock(c, LockConfig(key_size=2, keygate_policy="xor_only", seed=5))
     assert out.read_text() == emit_bench(locked.netlist)
+
+
+def test_llm_lock_cli_refuses_negative_retries(endpoint, tmp_path, capsys):
+    src = tmp_path / "c17.bench"
+    src.write_text(emit_bench(c17()))
+    rc = main([
+        "llm-lock", "--input", str(src), "--key-size", "2", "--seed", "5",
+        "--endpoint", endpoint, "--retries", "-1", "--json-errors",
+    ])
+    assert rc == 2
+    assert json.loads(capsys.readouterr().err)["error"]["type"] == "ValueError"
+    assert _CannedHandler.requests == []
